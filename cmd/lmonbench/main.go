@@ -9,9 +9,10 @@
 // BENCH_<name>.json in the working directory (machine-readable results
 // for CI and regression tracking). -smoke runs a fast reduced-scale
 // subset that exercises the bench rig end to end. -maxk caps the daemon
-// counts of the -failure/-collective/-contention/-launch/-mw sweeps (every simulated
-// daemon holds the full RPDTAB, so the 16384-point needs tens of GB of
-// host memory; CI runs -launch and -mw with -maxk 1024).
+// counts of the -failure/-collective/-contention/-launch/-mw sweeps. CI
+// runs -launch, -mw and -contention with -maxk 16384 (rank-sliced
+// retention is the default, so only the TableFull ablation row holds
+// full tables) and the full K=2^20 -million sweep.
 //
 // -obs adds the observability rider to the -launch sweep (a second
 // obs-on pass per row, checked against the wire-byte and drift

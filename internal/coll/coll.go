@@ -105,6 +105,15 @@ const (
 	MaxUserTag uint32 = 1 << 31
 )
 
+// CheckUserTag validates an explicitly allocated stream tag: it must lie
+// in the user tag space [MinUserTag, MaxUserTag).
+func CheckUserTag(tag uint32) error {
+	if tag < MinUserTag || tag >= MaxUserTag {
+		return fmt.Errorf("coll: user tag %d outside [%d, %d)", tag, MinUserTag, MaxUserTag)
+	}
+	return nil
+}
+
 // CreditFrame builds an OpCredit frame returning n credits for the
 // tagged stream. Credits ride in the header's Index field: the frame
 // has no body, no end marker and no checksum.

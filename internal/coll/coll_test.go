@@ -333,3 +333,17 @@ func TestRegisterFilterCustom(t *testing.T) {
 		t.Fatalf("%q", acc)
 	}
 }
+
+func TestCheckUserTag(t *testing.T) {
+	for _, tc := range []struct {
+		tag uint32
+		ok  bool
+	}{
+		{0, false}, {MinUserTag - 1, false}, {MinUserTag, true},
+		{MaxUserTag - 1, true}, {MaxUserTag, false},
+	} {
+		if err := CheckUserTag(tc.tag); (err == nil) != tc.ok {
+			t.Errorf("CheckUserTag(%d) = %v, want ok=%v", tc.tag, err, tc.ok)
+		}
+	}
+}

@@ -2,12 +2,10 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"launchmon/internal/coll"
 	"launchmon/internal/iccl"
 	"launchmon/internal/lmonp"
-	"launchmon/internal/vtime"
 )
 
 // This file is the user-data collective plane (the successor of the flat
@@ -29,137 +27,59 @@ import (
 // tree order (own subtree first, then children by rank), which is not
 // rank order — tools needing rank order gather instead.
 
-// feFabric is a snapshot of one fabric's FE-side plane state: the master
-// connection the FE sends on, the queues its reader demuxes collective
-// frames into (lockstep and user-tagged), and the daemon count the
-// operations are sized against.
+// feFabric is the front end's record of one launched fabric: the master
+// connection it sends on, the demux its reader sorts that connection
+// into, the fabric's lockstep collective sequence (FE side) and the
+// daemon set the ready message reported.
 type feFabric struct {
-	class lmonp.MsgClass
+	prof  fabricProfile
 	conn  *lmonp.Conn
-	collQ *vtime.Chan[collEvent]
-	tags  *tagRouter
-	size  int
-	kind  string // "" for BE, "MW " for diagnostics
+	dm    *linkDemux
+	seq   uint32
+	infos []DaemonInfo
 }
 
-// beFab snapshots the BE fabric, or the session's terminal error.
-func (s *Session) beFab() (feFabric, error) {
-	if s.beMaster == nil || s.closed() {
-		return feFabric{}, s.closedErr()
-	}
-	return feFabric{class: lmonp.ClassFEBE, conn: s.beMaster, collQ: s.beColl, tags: s.beTags, size: len(s.daemons)}, nil
-}
-
-// mwFab snapshots the MW fabric: an error when the session has no
-// middleware daemons, the terminal error when the session is over.
-func (s *Session) mwFab() (feFabric, error) {
+// fabric returns the record of the BE fabric, or of the MW fabric when mw
+// is set: an error when the session has no middleware daemons, the
+// terminal error when the session is over.
+func (s *Session) fabric(mw bool) (*feFabric, error) {
 	s.mu.Lock()
-	conn, collQ, tags, size := s.mwMaster, s.mwColl, s.mwTags, len(s.mwInfos)
+	fab := s.be
+	if mw {
+		fab = s.mw
+	}
 	s.mu.Unlock()
-	if conn == nil {
-		return feFabric{}, fmt.Errorf("core: session %d has no middleware daemons", s.ID)
+	if fab == nil && mw {
+		return nil, fmt.Errorf("core: session %d has no middleware daemons", s.ID)
 	}
-	if s.closed() {
-		return feFabric{}, s.closedErr()
+	if fab == nil || s.closed() {
+		return nil, s.closedErr()
 	}
-	return feFabric{class: lmonp.ClassFEMW, conn: conn, collQ: collQ, tags: tags, size: size, kind: "MW "}, nil
+	return fab, nil
 }
 
-// tagRouter demultiplexes one master connection's user-tagged collective
-// streams into per-tag queues, so N tool goroutines can run M concurrent
-// tagged collectives over one session without head-of-line blocking each
-// other. All methods are nil-receiver-safe: hand-rolled Sessions (tests)
-// that never use tagged operations carry a nil router.
-type tagRouter struct {
-	sim    *vtime.Sim
-	mu     sync.Mutex
-	closed bool
-	bad    error // poison: fails current and future tagged streams
-	tags   map[uint32]*vtime.Chan[collEvent]
+// stream names a collective's stream: a caller's user tag from AllocTag,
+// or (user unset) the fabric's next lockstep sequence tag.
+type stream struct {
+	user bool
+	tag  uint32
 }
 
-func newTagRouter(sim *vtime.Sim) *tagRouter { return &tagRouter{sim: sim} }
+// lockstep selects the fabric's next lockstep sequence tag.
+var lockstep = stream{}
 
-// q returns (creating on demand) the queue of one tagged stream. Queues
-// created after the router closed come pre-closed; queues created after a
-// poison event come pre-poisoned — either way a late subscriber observes
-// the failure instead of parking forever.
-func (tr *tagRouter) q(tag uint32) *vtime.Chan[collEvent] {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if tr.tags == nil {
-		tr.tags = make(map[uint32]*vtime.Chan[collEvent])
-	}
-	q := tr.tags[tag]
-	if q == nil {
-		q = vtime.NewChan[collEvent](tr.sim)
-		if tr.bad != nil {
-			q.Send(collEvent{err: tr.bad})
-		}
-		if tr.closed {
-			q.Close()
-		}
-		tr.tags[tag] = q
-	}
-	return q
-}
+// userTag selects an explicitly tagged stream; the tag is range-checked
+// when the operation resolves it.
+func userTag(tag uint32) stream { return stream{user: true, tag: tag} }
 
-// send routes one decoded frame to its tag's stream.
-func (tr *tagRouter) send(tag uint32, ev collEvent) {
-	if tr == nil {
-		return
+// opTag resolves a collective's stream tag: a user tag must lie in the
+// user tag space, lockstep advances the fabric's sequence.
+func (fab *feFabric) opTag(st stream) (uint32, error) {
+	if st.user {
+		return st.tag, coll.CheckUserTag(st.tag)
 	}
-	tr.q(tag).Send(ev)
-}
-
-// poison fails every tagged stream — current and future — with err (an
-// undecodable frame names no trustworthy tag, so no stream may keep
-// waiting).
-func (tr *tagRouter) poison(err error) {
-	if tr == nil {
-		return
-	}
-	tr.mu.Lock()
-	if tr.bad == nil {
-		tr.bad = err
-	}
-	qs := make([]*vtime.Chan[collEvent], 0, len(tr.tags))
-	for _, q := range tr.tags {
-		qs = append(qs, q)
-	}
-	tr.mu.Unlock()
-	for _, q := range qs {
-		q.Send(collEvent{err: err})
-	}
-}
-
-// close wakes every tagged receiver with stream end (the session died or
-// the master finalized); the caller's closedErr explains why.
-func (tr *tagRouter) close() {
-	if tr == nil {
-		return
-	}
-	tr.mu.Lock()
-	tr.closed = true
-	qs := make([]*vtime.Chan[collEvent], 0, len(tr.tags))
-	for _, q := range tr.tags {
-		qs = append(qs, q)
-	}
-	tr.mu.Unlock()
-	for _, q := range qs {
-		q.Close()
-	}
-}
-
-// drop retires a completed stream's queue so tag state does not
-// accumulate across collectives.
-func (tr *tagRouter) drop(tag uint32) {
-	if tr == nil {
-		return
-	}
-	tr.mu.Lock()
-	delete(tr.tags, tag)
-	tr.mu.Unlock()
+	fab.seq++
+	return fab.seq, nil
 }
 
 // AllocTag allocates a session-unique user stream tag from
@@ -173,38 +93,6 @@ func (s *Session) AllocTag() uint32 {
 	tag := coll.MinUserTag + s.userTags
 	s.userTags++
 	return tag
-}
-
-// checkUserTag validates an explicitly allocated stream tag.
-func checkUserTag(tag uint32) error {
-	if tag < coll.MinUserTag || tag >= coll.MaxUserTag {
-		return fmt.Errorf("core: user tag %d outside [%d, %d)", tag, coll.MinUserTag, coll.MaxUserTag)
-	}
-	return nil
-}
-
-// tagFab validates a tagged operation's inputs against the fabric
-// snapshot (tag range plus a usable tag router).
-func tagFab(fab feFabric, tag uint32) error {
-	if err := checkUserTag(tag); err != nil {
-		return err
-	}
-	if fab.tags == nil {
-		return fmt.Errorf("core: session has no tagged-collective router")
-	}
-	return nil
-}
-
-// nextCollTag advances the FE side of the BE fabric's collective sequence.
-func (s *Session) nextCollTag() uint32 {
-	s.collTag++
-	return s.collTag
-}
-
-// nextMWCollTag advances the FE side of the MW fabric's sequence.
-func (s *Session) nextMWCollTag() uint32 {
-	s.mwTag++
-	return s.mwTag
 }
 
 // sendFrameOn bridges one collective frame onto an LMONP connection —
@@ -221,112 +109,69 @@ func sendFrameOn(c *lmonp.Conn, class lmonp.MsgClass, f coll.Frame) error {
 
 // Broadcast ships data to every back-end daemon over the ICCL tree. Every
 // daemon receives it from Collective().Broadcast.
-func (s *Session) Broadcast(data []byte) error {
-	fab, err := s.beFab()
-	if err != nil {
-		return err
-	}
-	return s.collBroadcast(fab, s.nextCollTag(), data)
-}
-
-// MWBroadcast ships data to every middleware daemon over the MW tree
-// (received by Middleware.Collective().Broadcast).
-func (s *Session) MWBroadcast(data []byte) error {
-	fab, err := s.mwFab()
-	if err != nil {
-		return err
-	}
-	return s.collBroadcast(fab, s.nextMWCollTag(), data)
-}
+func (s *Session) Broadcast(data []byte) error { return s.broadcast(false, lockstep, data) }
 
 // BroadcastTag is Broadcast on an explicitly tagged concurrent stream
 // (daemons receive with Collective().BroadcastTag under the same tag).
 func (s *Session) BroadcastTag(tag uint32, data []byte) error {
-	fab, err := s.beFab()
-	if err != nil {
-		return err
-	}
-	if err := tagFab(fab, tag); err != nil {
-		return err
-	}
-	return s.collBroadcast(fab, tag, data)
+	return s.broadcast(false, userTag(tag), data)
 }
+
+// MWBroadcast ships data to every middleware daemon over the MW tree
+// (received by Middleware.Collective().Broadcast).
+func (s *Session) MWBroadcast(data []byte) error { return s.broadcast(true, lockstep, data) }
 
 // MWBroadcastTag is BroadcastTag over the MW fabric.
 func (s *Session) MWBroadcastTag(tag uint32, data []byte) error {
-	fab, err := s.mwFab()
+	return s.broadcast(true, userTag(tag), data)
+}
+
+func (s *Session) broadcast(mw bool, st stream, data []byte) error {
+	fab, err := s.fabric(mw)
 	if err != nil {
 		return err
 	}
-	if err := tagFab(fab, tag); err != nil {
+	tag, err := fab.opTag(st)
+	if err != nil {
 		return err
 	}
-	return s.collBroadcast(fab, tag, data)
-}
-
-func (s *Session) collBroadcast(fab feFabric, tag uint32, data []byte) error {
 	sp := s.obsRec.Start("fe-broadcast", -1)
 	defer sp.End()
-	for _, f := range coll.RawFrames(coll.OpBroadcast, tag, "", data, s.collChunk) {
-		if err := sendFrameOn(fab.conn, fab.class, f); err != nil {
-			return err
-		}
-		s.obsCounter("coll.fe.tx.frames").Inc()
-		s.obsCounter("coll.fe.tx.bytes").Add(uint64(len(f.Body)))
-	}
-	return nil
+	return s.sendFrames(fab, coll.RawFrames(coll.OpBroadcast, tag, "", data, s.collChunk))
 }
 
 // Scatter delivers parts[rank] to each back-end daemon (one part per
 // daemon, in rank order). Daemons receive their part from
 // Collective().Scatter; interior tree nodes route each part toward its
 // rank's subtree, so no single link ever carries the whole part set.
-func (s *Session) Scatter(parts [][]byte) error {
-	fab, err := s.beFab()
-	if err != nil {
-		return err
-	}
-	return s.collScatter(fab, s.nextCollTag(), parts)
-}
-
-// MWScatter delivers parts[rank] to each middleware daemon over the MW
-// tree (received by Middleware.Collective().Scatter).
-func (s *Session) MWScatter(parts [][]byte) error {
-	fab, err := s.mwFab()
-	if err != nil {
-		return err
-	}
-	return s.collScatter(fab, s.nextMWCollTag(), parts)
-}
+func (s *Session) Scatter(parts [][]byte) error { return s.scatter(false, lockstep, parts) }
 
 // ScatterTag is Scatter on an explicitly tagged concurrent stream
 // (daemons receive with Collective().ScatterTag under the same tag).
 func (s *Session) ScatterTag(tag uint32, parts [][]byte) error {
-	fab, err := s.beFab()
-	if err != nil {
-		return err
-	}
-	if err := tagFab(fab, tag); err != nil {
-		return err
-	}
-	return s.collScatter(fab, tag, parts)
+	return s.scatter(false, userTag(tag), parts)
 }
+
+// MWScatter delivers parts[rank] to each middleware daemon over the MW
+// tree (received by Middleware.Collective().Scatter).
+func (s *Session) MWScatter(parts [][]byte) error { return s.scatter(true, lockstep, parts) }
 
 // MWScatterTag is ScatterTag over the MW fabric.
 func (s *Session) MWScatterTag(tag uint32, parts [][]byte) error {
-	fab, err := s.mwFab()
+	return s.scatter(true, userTag(tag), parts)
+}
+
+func (s *Session) scatter(mw bool, st stream, parts [][]byte) error {
+	fab, err := s.fabric(mw)
 	if err != nil {
 		return err
 	}
-	if err := tagFab(fab, tag); err != nil {
-		return err
+	if len(parts) != len(fab.infos) {
+		return fmt.Errorf("core: scatter needs %d parts (one per daemon), got %d", len(fab.infos), len(parts))
 	}
-	return s.collScatter(fab, tag, parts)
-}
-
-func (s *Session) collScatter(fab feFabric, tag uint32, parts [][]byte) error {
-	if len(parts) != fab.size {
-		return fmt.Errorf("core: scatter needs %d parts (one per daemon), got %d", fab.size, len(parts))
+	tag, err := fab.opTag(st)
+	if err != nil {
+		return err
 	}
 	sp := s.obsRec.Start("fe-scatter", -1)
 	defer sp.End()
@@ -334,8 +179,13 @@ func (s *Session) collScatter(fab feFabric, tag uint32, parts [][]byte) error {
 	for rk, p := range parts {
 		entries[rk] = coll.Entry{Rank: rk, Blob: p}
 	}
-	for _, f := range coll.EntryFrames(coll.OpScatter, tag, entries, s.collChunk) {
-		if err := sendFrameOn(fab.conn, fab.class, f); err != nil {
+	return s.sendFrames(fab, coll.EntryFrames(coll.OpScatter, tag, entries, s.collChunk))
+}
+
+// sendFrames ships an FE-originated collective stream to the master.
+func (s *Session) sendFrames(fab *feFabric, frames []coll.Frame) error {
+	for _, f := range frames {
+		if err := sendFrameOn(fab.conn, fab.prof.class, f); err != nil {
 			return err
 		}
 		s.obsCounter("coll.fe.tx.frames").Inc()
@@ -344,20 +194,24 @@ func (s *Session) collScatter(fab feFabric, tag uint32, parts [][]byte) error {
 	return nil
 }
 
-// recvCollFrame waits for the next collective frame routed by the
-// fabric's watcher into q (the lockstep queue or one tagged stream),
-// surfacing a malformed frame's decode error or — if the session dies
-// mid-collective — the terminal fault detail.
-func (s *Session) recvCollFrame(fab feFabric, q *vtime.Chan[collEvent]) (coll.Frame, error) {
-	ev, ok := q.Recv()
+// recvCollFrame waits for the next frame of the (op, tag) stream routed
+// by the fabric's reader, surfacing a malformed frame's decode error, a
+// frame of another operation (collective order diverged) or — if the
+// session dies mid-collective — the terminal fault detail.
+func (s *Session) recvCollFrame(fab *feFabric, op coll.Op, tag uint32) (coll.Frame, error) {
+	ev, ok := fab.dm.next(tag)
 	if !ok {
 		return coll.Frame{}, s.closedErr()
 	}
 	if ev.err != nil {
-		return coll.Frame{}, fmt.Errorf("core: malformed collective frame from %smaster daemon: %w", fab.kind, ev.err)
+		return coll.Frame{}, fmt.Errorf("core: malformed collective frame from %s master daemon: %w", fab.prof.kind, ev.err)
 	}
 	s.obsCounter("coll.fe.rx.frames").Inc()
 	s.obsCounter("coll.fe.rx.bytes").Add(uint64(len(ev.f.Body)))
+	if ev.f.H.Op != op || ev.f.H.Tag != tag {
+		return coll.Frame{}, fmt.Errorf("core: %v frame tag %d during %v tag %d (collective order diverged)",
+			ev.f.H.Op, ev.f.H.Tag, op, tag)
+	}
 	return ev.f, nil
 }
 
@@ -365,68 +219,40 @@ func (s *Session) recvCollFrame(fab feFabric, q *vtime.Chan[collEvent]) (coll.Fr
 // (Collective().Gather), indexed by rank. Contributions stream to the
 // front end as bounded-size chunks routed up the tree, arriving as each
 // subtree completes rather than as one monolithic master payload.
-func (s *Session) Gather() ([][]byte, error) {
-	fab, err := s.beFab()
-	if err != nil {
-		return nil, err
-	}
-	return s.collGather(fab, fab.collQ, s.nextCollTag())
-}
-
-// MWGather collects one byte slice from every middleware daemon over the
-// MW tree (contributed by Middleware.Collective().Gather).
-func (s *Session) MWGather() ([][]byte, error) {
-	fab, err := s.mwFab()
-	if err != nil {
-		return nil, err
-	}
-	return s.collGather(fab, fab.collQ, s.nextMWCollTag())
-}
+func (s *Session) Gather() ([][]byte, error) { return s.gather(false, lockstep) }
 
 // GatherTag is Gather on an explicitly tagged concurrent stream: daemons
 // contribute with Collective().GatherTag under the same tag (from
 // AllocTag), and any number of tagged collectives may be in flight on the
 // session at once, each driven by its own goroutine.
-func (s *Session) GatherTag(tag uint32) ([][]byte, error) {
-	fab, err := s.beFab()
-	if err != nil {
-		return nil, err
-	}
-	return s.tagGather(fab, tag)
-}
+func (s *Session) GatherTag(tag uint32) ([][]byte, error) { return s.gather(false, userTag(tag)) }
+
+// MWGather collects one byte slice from every middleware daemon over the
+// MW tree (contributed by Middleware.Collective().Gather).
+func (s *Session) MWGather() ([][]byte, error) { return s.gather(true, lockstep) }
 
 // MWGatherTag is GatherTag over the MW fabric.
-func (s *Session) MWGatherTag(tag uint32) ([][]byte, error) {
-	fab, err := s.mwFab()
+func (s *Session) MWGatherTag(tag uint32) ([][]byte, error) { return s.gather(true, userTag(tag)) }
+
+func (s *Session) gather(mw bool, st stream) ([][]byte, error) {
+	fab, err := s.fabric(mw)
 	if err != nil {
 		return nil, err
 	}
-	return s.tagGather(fab, tag)
-}
-
-func (s *Session) tagGather(fab feFabric, tag uint32) ([][]byte, error) {
-	if err := tagFab(fab, tag); err != nil {
+	tag, err := fab.opTag(st)
+	if err != nil {
 		return nil, err
 	}
-	defer fab.tags.drop(tag)
-	return s.collGather(fab, fab.tags.q(tag), tag)
-}
-
-func (s *Session) collGather(fab feFabric, q *vtime.Chan[collEvent], tag uint32) ([][]byte, error) {
 	sp := s.obsRec.Start("fe-gather", -1)
 	defer sp.End()
 	var asm coll.RankAssembler
 	for {
-		f, err := s.recvCollFrame(fab, q)
+		f, err := s.recvCollFrame(fab, coll.OpGather, tag)
 		if err != nil {
 			return nil, err
 		}
-		if f.H.Op != coll.OpGather || f.H.Tag != tag {
-			return nil, fmt.Errorf("core: %v frame tag %d during gather tag %d (collective order diverged)",
-				f.H.Op, f.H.Tag, tag)
-		}
 		if f.End {
-			return asm.Finish(f.H, f.Total, fab.size)
+			return asm.Finish(f.H, f.Total, len(fab.infos))
 		}
 		if err := asm.Add(f.H, f.Body); err != nil {
 			return nil, err
@@ -439,67 +265,39 @@ func (s *Session) collGather(fab feFabric, q *vtime.Chan[collEvent], tag uint32)
 // applied at every interior node, so per-link bytes are bounded by the
 // combined result — a sum or top-k sample reaches the front end at a
 // size independent of the daemon count.
-func (s *Session) Reduce() ([]byte, error) {
-	fab, err := s.beFab()
-	if err != nil {
-		return nil, err
-	}
-	return s.collReduce(fab, fab.collQ, s.nextCollTag())
-}
-
-// MWReduce receives the tree-combined reduction of every middleware
-// daemon's Collective().Reduce contribution over the MW tree.
-func (s *Session) MWReduce() ([]byte, error) {
-	fab, err := s.mwFab()
-	if err != nil {
-		return nil, err
-	}
-	return s.collReduce(fab, fab.collQ, s.nextMWCollTag())
-}
+func (s *Session) Reduce() ([]byte, error) { return s.reduce(false, lockstep) }
 
 // ReduceTag is Reduce on an explicitly tagged concurrent stream (daemons
 // contribute with Collective().ReduceTag under the same tag).
-func (s *Session) ReduceTag(tag uint32) ([]byte, error) {
-	fab, err := s.beFab()
-	if err != nil {
-		return nil, err
-	}
-	return s.tagReduce(fab, tag)
-}
+func (s *Session) ReduceTag(tag uint32) ([]byte, error) { return s.reduce(false, userTag(tag)) }
+
+// MWReduce receives the tree-combined reduction of every middleware
+// daemon's Collective().Reduce contribution over the MW tree.
+func (s *Session) MWReduce() ([]byte, error) { return s.reduce(true, lockstep) }
 
 // MWReduceTag is ReduceTag over the MW fabric.
-func (s *Session) MWReduceTag(tag uint32) ([]byte, error) {
-	fab, err := s.mwFab()
+func (s *Session) MWReduceTag(tag uint32) ([]byte, error) { return s.reduce(true, userTag(tag)) }
+
+func (s *Session) reduce(mw bool, st stream) ([]byte, error) {
+	fab, err := s.fabric(mw)
 	if err != nil {
 		return nil, err
 	}
-	return s.tagReduce(fab, tag)
-}
-
-func (s *Session) tagReduce(fab feFabric, tag uint32) ([]byte, error) {
-	if err := tagFab(fab, tag); err != nil {
+	tag, err := fab.opTag(st)
+	if err != nil {
 		return nil, err
 	}
-	defer fab.tags.drop(tag)
-	return s.collReduce(fab, fab.tags.q(tag), tag)
-}
-
-func (s *Session) collReduce(fab feFabric, q *vtime.Chan[collEvent], tag uint32) ([]byte, error) {
 	sp := s.obsRec.Start("fe-reduce", -1)
 	defer sp.End()
 	var asm coll.RawAssembler
 	for {
-		f, err := s.recvCollFrame(fab, q)
+		f, err := s.recvCollFrame(fab, coll.OpReduce, tag)
 		if err != nil {
 			return nil, err
 		}
 		// The K-independence invariant of filtered reduction: bytes landing
 		// on the FE link are bounded by the combined result, not the fabric.
 		s.obsCounter("coll.reduce.fe.rx.bytes").Add(uint64(len(f.Body)))
-		if f.H.Op != coll.OpReduce || f.H.Tag != tag {
-			return nil, fmt.Errorf("core: %v frame tag %d during reduce tag %d (collective order diverged)",
-				f.H.Op, f.H.Tag, tag)
-		}
 		if f.End {
 			return asm.Finish(f.H, f.Total)
 		}
@@ -512,99 +310,33 @@ func (s *Session) collReduce(fab feFabric, q *vtime.Chan[collEvent], tag uint32)
 // DaemonCollective is the daemon-side handle of a fabric's collective
 // tool-data plane, mirroring the Session methods: what the FE broadcasts
 // or scatters every daemon of the fabric receives here, and what every
-// daemon gathers or reduces arrives at the FE. Back-end daemons obtain
-// it from BackEnd.Collective (paired with Session.Broadcast/...),
-// middleware daemons from Middleware.Collective (paired with
-// Session.MWBroadcast/...).
-type DaemonCollective struct {
-	d  *daemonSession
-	pl *iccl.Plane
-}
-
-// BECollective is the back-end fabric's name for the daemon-side
-// collective handle, kept from before the plane became fabric-agnostic.
-type BECollective = DaemonCollective
+// daemon gathers or reduces arrives at the FE; Barrier, AllGather and
+// AllReduce run among the daemons alone. Back-end daemons obtain it from
+// BackEnd.Collective (paired with Session.Broadcast/...), middleware
+// daemons from Middleware.Collective (paired with Session.MWBroadcast/...).
+type DaemonCollective = iccl.Plane
 
 // newDaemonCollective wires the plane: at the master, gather/reduce
 // frames bridge onto the FE connection as TypeCollChunk/TypeCollEnd
 // messages and broadcast/scatter frames are pulled from the master's FE
-// router, which demuxes the connection by stream tag so concurrent
-// tagged collectives share it. window is the per-(link, tag) credit
-// budget of the tree links' flow control (0 = coll.DefaultWindow,
-// negative = off); the FE hop itself carries no credits — it has exactly
-// one consumer draining into per-tag queues and no fan-in skew.
+// demux, which sorts the connection by stream tag so concurrent tagged
+// collectives share it. window is the per-(link, tag) credit budget of
+// the tree links' flow control (0 = coll.DefaultWindow, negative = off);
+// the FE hop itself carries no credits — it has exactly one consumer
+// draining into per-tag queues and no fan-in skew.
 func newDaemonCollective(d *daemonSession, chunkBytes, window int) *DaemonCollective {
 	var up iccl.UpFn
 	var down iccl.DownFn
 	if d.comm.IsMaster() {
 		up = func(f coll.Frame) error { return sendFrameOn(d.fe, d.fab.class, f) }
-		down = func(tag uint32) (coll.Frame, error) { return d.feRouter().nextColl(tag) }
+		down = func(tag uint32) (coll.Frame, error) {
+			dm := d.feDemux()
+			ev, ok := dm.next(tag)
+			if !ok {
+				return coll.Frame{}, dm.cause()
+			}
+			return ev.f, ev.err
+		}
 	}
-	return &DaemonCollective{d: d, pl: d.comm.NewPlane(chunkBytes, window, up, down)}
-}
-
-// Broadcast receives the front end's next broadcast payload for this
-// fabric (every daemon gets the full data).
-func (dc *DaemonCollective) Broadcast() ([]byte, error) { return dc.pl.Broadcast() }
-
-// BroadcastTag is Broadcast on an explicitly tagged concurrent stream
-// (paired with Session.BroadcastTag under the same tag).
-func (dc *DaemonCollective) BroadcastTag(tag uint32) ([]byte, error) { return dc.pl.BroadcastTag(tag) }
-
-// Scatter receives this daemon's part of the front end's next scatter.
-func (dc *DaemonCollective) Scatter() ([]byte, error) { return dc.pl.Scatter() }
-
-// ScatterTag is Scatter on an explicitly tagged concurrent stream.
-func (dc *DaemonCollective) ScatterTag(tag uint32) ([]byte, error) { return dc.pl.ScatterTag(tag) }
-
-// Gather contributes mine to the front end's next gather on this fabric.
-func (dc *DaemonCollective) Gather(mine []byte) error { return dc.pl.Gather(mine) }
-
-// GatherTag is Gather on an explicitly tagged concurrent stream.
-func (dc *DaemonCollective) GatherTag(tag uint32, mine []byte) error {
-	return dc.pl.GatherTag(tag, mine)
-}
-
-// Reduce contributes mine to the front end's next reduce, folded at
-// every tree node with the named filter ("concat", "sum", "topk:N", or
-// any coll.RegisterFilter registration). All daemons must name the same
-// filter.
-func (dc *DaemonCollective) Reduce(mine []byte, filter string) error {
-	return dc.pl.Reduce(mine, filter)
-}
-
-// ReduceTag is Reduce on an explicitly tagged concurrent stream.
-func (dc *DaemonCollective) ReduceTag(tag uint32, mine []byte, filter string) error {
-	return dc.pl.ReduceTag(tag, mine, filter)
-}
-
-// Barrier blocks until every daemon of the fabric has entered it: an
-// up-phase of end markers gathers at the tree root, then a release wave
-// flows back down (the two-phase crt_barrier shape). The front end is not
-// involved.
-func (dc *DaemonCollective) Barrier() error { return dc.pl.Barrier() }
-
-// BarrierTag is Barrier on an explicitly tagged concurrent stream.
-func (dc *DaemonCollective) BarrierTag(tag uint32) error { return dc.pl.BarrierTag(tag) }
-
-// AllGather contributes mine and returns every daemon's contribution
-// indexed by rank: a gather up-phase into the tree root, then the
-// assembled rank table redistributed down in bounded chunks.
-func (dc *DaemonCollective) AllGather(mine []byte) ([][]byte, error) { return dc.pl.AllGather(mine) }
-
-// AllGatherTag is AllGather on an explicitly tagged concurrent stream.
-func (dc *DaemonCollective) AllGatherTag(tag uint32, mine []byte) ([][]byte, error) {
-	return dc.pl.AllGatherTag(tag, mine)
-}
-
-// AllReduce contributes mine to a reduction with the named filter and
-// returns the combined result on every daemon: the Reduce up-phase folds
-// into the root, whose final accumulator is redistributed down the tree.
-func (dc *DaemonCollective) AllReduce(mine []byte, filter string) ([]byte, error) {
-	return dc.pl.AllReduce(mine, filter)
-}
-
-// AllReduceTag is AllReduce on an explicitly tagged concurrent stream.
-func (dc *DaemonCollective) AllReduceTag(tag uint32, mine []byte, filter string) ([]byte, error) {
-	return dc.pl.AllReduceTag(tag, mine, filter)
+	return d.comm.NewPlane(chunkBytes, window, up, down)
 }

@@ -412,16 +412,15 @@ func TestMalformedCollectiveFrameFailsGather(t *testing.T) {
 	sim := vtime.New()
 	var buf bytes.Buffer
 	s := &Session{
-		beMaster: lmonp.NewConn(&buf),
-		beColl:   vtime.NewChan[collEvent](sim),
+		be: &feFabric{prof: beFabric, conn: lmonp.NewConn(&buf), dm: newLinkDemux(sim)},
 	}
 	var gatherErr error
 	sim.Go("fe", func() {
 		_, gatherErr = s.Gather()
 	})
 	sim.Go("inject", func() {
-		// What beReader queues when coll.DecodeMsg rejects a frame.
-		s.beColl.Send(collEvent{err: errors.New("bad header")})
+		// What the link demux sees when coll.DecodeMsg rejects a frame.
+		s.be.dm.route(coll.Frame{}, errors.New("bad header"))
 	})
 	sim.Run()
 	if gatherErr == nil || !strings.Contains(gatherErr.Error(), "malformed collective frame") {

@@ -467,3 +467,241 @@ func TestCollWindowBoundsInteriorQueueDepth(t *testing.T) {
 		}
 	})
 }
+
+// TestReusedUserTagAcrossRounds reuses one AllocTag stream tag for five
+// rounds of Broadcast, Gather and Reduce on both fabrics. A fast child
+// may queue the next operation's first chunk on a link before the parent
+// consumes the previous operation's end marker, so retiring the tag's
+// queue at End must never discard it. The credit window must still bound
+// every queue: the last credits of a gather arrive after its End, and
+// they may not widen the window of the reduce that follows on the same
+// tag (every contribution spans several chunks, so a widened window
+// would queue more than window chunks at a busy parent).
+func TestReusedUserTagAcrossRounds(t *testing.T) {
+	const beNodes, mwNodes, rounds, window = 64, 9, 5, 2
+	sim, cl, _ := rig(t, beNodes+mwNodes)
+	bcast := bytes.Repeat([]byte("reuse-"), 50) // 300 B: several 64 B chunks
+	tag := coll.MinUserTag                      // the session's first AllocTag
+	blob := func(rank, round int) []byte {      // 200 B: four 64 B chunks
+		return bytes.Repeat([]byte{byte(rank), byte(round)}, 100)
+	}
+
+	daemonRounds := func(dc *DaemonCollective, rank int) error {
+		for r := 0; r < rounds; r++ {
+			got, err := dc.BroadcastTag(tag)
+			if err != nil {
+				return fmt.Errorf("round %d broadcast: %w", r, err)
+			}
+			if !bytes.Equal(got, bcast) {
+				return fmt.Errorf("round %d broadcast got %d bytes", r, len(got))
+			}
+			if err := dc.GatherTag(tag, blob(rank, r)); err != nil {
+				return fmt.Errorf("round %d gather: %w", r, err)
+			}
+			if err := dc.ReduceTag(tag, blob(rank, r), "concat"); err != nil {
+				return fmt.Errorf("round %d reduce: %w", r, err)
+			}
+		}
+		return nil
+	}
+	cl.Register("reuse_be", func(p *cluster.Proc) {
+		be, err := BEInit(p)
+		if err != nil {
+			t.Errorf("BEInit: %v", err)
+			return
+		}
+		if err := daemonRounds(be.Collective(), be.Rank()); err != nil {
+			t.Errorf("BE rank %d: %v", be.Rank(), err)
+			return
+		}
+		be.Finalize()
+	})
+	cl.Register("reuse_mw", func(p *cluster.Proc) {
+		mw, err := MWInit(p)
+		if err != nil {
+			t.Errorf("MWInit: %v", err)
+			return
+		}
+		if err := daemonRounds(mw.Collective(), mw.Rank()); err != nil {
+			t.Errorf("MW rank %d: %v", mw.Rank(), err)
+			return
+		}
+		mw.Finalize()
+	})
+
+	runFE(t, sim, cl, func(p *cluster.Proc) {
+		s, err := LaunchAndSpawn(p, Options{
+			Job:            rm.JobSpec{Exe: "app", Nodes: beNodes, TasksPerNode: 1},
+			Daemon:         rm.DaemonSpec{Exe: "reuse_be"},
+			ICCLFanout:     8,
+			CollChunkBytes: 64,
+			CollWindow:     window,
+			Obs:            ObsOn,
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := s.LaunchMW(MWOptions{Nodes: mwNodes, Daemon: rm.DaemonSpec{Exe: "reuse_mw"}, ICCLFanout: 2}); err != nil {
+			t.Error(err)
+			return
+		}
+		if got := s.AllocTag(); got != tag {
+			t.Fatalf("first AllocTag = %d, want %d", got, tag)
+		}
+		fabrics := []struct {
+			kind      string
+			n         int
+			broadcast func(uint32, []byte) error
+			gather    func(uint32) ([][]byte, error)
+			reduce    func(uint32) ([]byte, error)
+		}{
+			{"BE", beNodes, s.BroadcastTag, s.GatherTag, s.ReduceTag},
+			{"MW", mwNodes, s.MWBroadcastTag, s.MWGatherTag, s.MWReduceTag},
+		}
+		for _, fab := range fabrics {
+			for r := 0; r < rounds; r++ {
+				if err := fab.broadcast(tag, bcast); err != nil {
+					t.Errorf("%s round %d broadcast: %v", fab.kind, r, err)
+					return
+				}
+				all, err := fab.gather(tag)
+				if err != nil {
+					t.Errorf("%s round %d gather: %v", fab.kind, r, err)
+					return
+				}
+				for rk, b := range all {
+					if !bytes.Equal(b, blob(rk, r)) {
+						t.Errorf("%s round %d gather slot %d holds %d wrong bytes", fab.kind, r, rk, len(b))
+					}
+				}
+				cat, err := fab.reduce(tag)
+				if err != nil {
+					t.Errorf("%s round %d reduce: %v", fab.kind, r, err)
+					return
+				}
+				if len(cat) != fab.n*len(blob(0, r)) {
+					t.Errorf("%s round %d concat holds %d bytes, want %d", fab.kind, r, len(cat), fab.n*len(blob(0, r)))
+				}
+			}
+		}
+		sim.Sleep(time.Second) // let the finalize obs pushes land
+		snap, err := s.MetricsSnapshot()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if depth := snap.Gauges["coll.queue.depth.max"]; depth > window {
+			t.Errorf("queue depth high-water %d exceeds CollWindow %d across reused-tag rounds", depth, window)
+		}
+	})
+}
+
+// TestTaggedOpsRejectNonUserTags passes every FE tagged operation a tag
+// outside the user tag space — 0 (an uninitialised tag), a lockstep
+// sequence tag and MaxUserTag — on both fabrics. Each call must fail
+// without touching the fabric's lockstep sequence, so the lockstep
+// broadcast and gather that follow still pair with the daemons' first
+// lockstep operations.
+func TestTaggedOpsRejectNonUserTags(t *testing.T) {
+	const beNodes, mwNodes = 4, 2
+	sim, cl, _ := rig(t, beNodes+mwNodes)
+	daemon := func(dc *DaemonCollective) {
+		verdict := "ok"
+		if got, err := dc.Broadcast(); err != nil {
+			verdict = err.Error()
+		} else if string(got) != "lockstep" {
+			verdict = fmt.Sprintf("broadcast got %q", got)
+		}
+		if err := dc.Gather([]byte(verdict)); err != nil {
+			t.Errorf("gather: %v", err)
+		}
+	}
+	cl.Register("badtag_be", func(p *cluster.Proc) {
+		if be, err := BEInit(p); err != nil {
+			t.Errorf("BEInit: %v", err)
+		} else {
+			daemon(be.Collective())
+			be.Finalize()
+		}
+	})
+	cl.Register("badtag_mw", func(p *cluster.Proc) {
+		if mw, err := MWInit(p); err != nil {
+			t.Errorf("MWInit: %v", err)
+		} else {
+			daemon(mw.Collective())
+			mw.Finalize()
+		}
+	})
+
+	runFE(t, sim, cl, func(p *cluster.Proc) {
+		s, err := LaunchAndSpawn(p, Options{
+			Job:    rm.JobSpec{Exe: "app", Nodes: beNodes, TasksPerNode: 1},
+			Daemon: rm.DaemonSpec{Exe: "badtag_be"},
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := s.LaunchMW(MWOptions{Nodes: mwNodes, Daemon: rm.DaemonSpec{Exe: "badtag_mw"}}); err != nil {
+			t.Error(err)
+			return
+		}
+		fabrics := []struct {
+			kind      string
+			n         int
+			broadcast func(uint32, []byte) error
+			scatter   func(uint32, [][]byte) error
+			gather    func(uint32) ([][]byte, error)
+			reduce    func(uint32) ([]byte, error)
+		}{
+			{"BE", beNodes, s.BroadcastTag, s.ScatterTag, s.GatherTag, s.ReduceTag},
+			{"MW", mwNodes, s.MWBroadcastTag, s.MWScatterTag, s.MWGatherTag, s.MWReduceTag},
+		}
+		for _, fab := range fabrics {
+			// Sends first: a wrongly accepted gather or reduce would park.
+			for _, tag := range []uint32{0, 1, coll.MaxUserTag} {
+				if err := fab.broadcast(tag, nil); err == nil {
+					t.Errorf("%s BroadcastTag(%d) accepted a non-user tag", fab.kind, tag)
+					return
+				}
+				if err := fab.scatter(tag, make([][]byte, fab.n)); err == nil {
+					t.Errorf("%s ScatterTag(%d) accepted a non-user tag", fab.kind, tag)
+					return
+				}
+			}
+			for _, tag := range []uint32{0, 1, coll.MaxUserTag} {
+				if _, err := fab.gather(tag); err == nil {
+					t.Errorf("%s GatherTag(%d) accepted a non-user tag", fab.kind, tag)
+				}
+				if _, err := fab.reduce(tag); err == nil {
+					t.Errorf("%s ReduceTag(%d) accepted a non-user tag", fab.kind, tag)
+				}
+			}
+		}
+		lockstep := []struct {
+			kind      string
+			broadcast func([]byte) error
+			gather    func() ([][]byte, error)
+		}{
+			{"BE", s.Broadcast, s.Gather},
+			{"MW", s.MWBroadcast, s.MWGather},
+		}
+		for _, fab := range lockstep {
+			if err := fab.broadcast([]byte("lockstep")); err != nil {
+				t.Errorf("%s lockstep broadcast: %v", fab.kind, err)
+				return
+			}
+			verdicts, err := fab.gather()
+			if err != nil {
+				t.Errorf("%s lockstep gather: %v", fab.kind, err)
+				return
+			}
+			for rk, v := range verdicts {
+				if string(v) != "ok" {
+					t.Errorf("%s rank %d: %s", fab.kind, rk, v)
+				}
+			}
+		}
+	})
+}

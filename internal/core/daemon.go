@@ -52,6 +52,15 @@ var (
 	}
 )
 
+// faultPrefix prefixes the FE's fault details so tools can tell which
+// fabric's daemon was lost: "" for BE, "mw " for MW.
+func (f fabricProfile) faultPrefix() string {
+	if f.mw {
+		return "mw "
+	}
+	return ""
+}
+
 // daemonSession is the shared daemon-side state. BackEnd and Middleware
 // embed it, so its exported methods are the common daemon API of both
 // fabrics.
@@ -70,12 +79,12 @@ type daemonSession struct {
 	feData []byte
 	tl     engine.Timeline
 
-	// The master's FE-connection demultiplexer (feroute.go), started
-	// lazily by the first read-side use — RecvFromFE or a plane down hook
-	// — so the seed pipeline's direct reads during init are undisturbed
-	// and non-master daemons never pay for it.
-	feRtOnce sync.Once
-	feRt     *feRouter
+	// The master's FE-link demux (demux.go), started lazily by the first
+	// read-side use — RecvFromFE or a plane down hook — so the seed
+	// pipeline's direct reads during init are undisturbed and non-master
+	// daemons never pay for it.
+	feDmOnce sync.Once
+	feDm     *linkDemux
 
 	// obsReg is the daemon's observability registry (nil when LMON_OBS is
 	// off). Its snapshot is tree-folded to the master and rides the ready
@@ -132,7 +141,7 @@ func initCutThrough(p *cluster.Proc, cfg *iccl.Config, fab fabricProfile) (*daem
 		}
 	}
 
-	comm, seed, err := iccl.BootstrapSeedRouted(p, *cfg, src, rt)
+	comm, seed, err := iccl.BootstrapSeed(p, *cfg, src, rt)
 	if err != nil {
 		return nil, err
 	}
@@ -191,13 +200,11 @@ func (d *daemonSession) seedRouterFromEnv(cfg *iccl.Config) (*iccl.SeedRouter, e
 	}, nil
 }
 
-// masterSeedSource connects the master to the FE through the session mux
-// and consumes the handshake (the piggybacked tool data arrives ahead of
-// the table stream), then adapts the connection so each relayed RPDTAB
-// chunk feeds straight into the tree's seed stream as it arrives.
-func (d *daemonSession) masterSeedSource() (iccl.SeedSource, error) {
-	p := d.p
-	fe, err := dialFE(p, d.fab.role)
+// dialMaster connects the master to the FE through the session mux and
+// consumes the handshake, returning the piggybacked tool data (it arrives
+// ahead of the table stream) — the master's entry to both seed pipelines.
+func (d *daemonSession) dialMaster() ([]byte, error) {
+	fe, err := dialFE(d.p, d.fab.role)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s master dialing FE: %w", d.fab.kind, err)
 	}
@@ -206,8 +213,19 @@ func (d *daemonSession) masterSeedSource() (iccl.SeedSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.tl.Mark(d.fab.markNetStart, p.Sim().Now())
-	return seedSourceFromFE(d.fe, handshake.UsrData), nil
+	d.tl.Mark(d.fab.markNetStart, d.p.Sim().Now())
+	return handshake.UsrData, nil
+}
+
+// masterSeedSource completes the master's handshake, then adapts the FE
+// connection so each relayed RPDTAB chunk feeds straight into the tree's
+// seed stream as it arrives.
+func (d *daemonSession) masterSeedSource() (iccl.SeedSource, error) {
+	feData, err := d.dialMaster()
+	if err != nil {
+		return nil, err
+	}
+	return seedSourceFromFE(d.fe, feData), nil
 }
 
 // drainSeed consumes the locally delivered stream: frame 0 carries the
@@ -302,19 +320,11 @@ func initStoreForward(p *cluster.Proc, cfg *iccl.Config, fab fabricProfile) (*da
 	var masterTab proctab.Table
 	var feData []byte
 	if cfg.Rank == 0 {
-		fe, err := dialFE(p, fab.role)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s master dialing FE: %w", fab.kind, err)
-		}
-		d.fe = fe
-		handshake, err := d.fe.Expect(fab.class, lmonp.TypeHandshake)
-		if err != nil {
+		var err error
+		if feData, err = d.dialMaster(); err != nil {
 			return nil, err
 		}
-		d.tl.Mark(fab.markNetStart, p.Sim().Now())
-		feData = handshake.UsrData
-		masterTab, err = proctab.RecvStream(d.fe, fab.class, nil)
-		if err != nil {
+		if masterTab, err = proctab.RecvStream(d.fe, fab.class, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -572,18 +582,35 @@ func (d *daemonSession) SendToFE(data []byte) error {
 }
 
 // RecvFromFE receives tool data from the front end (master only). Reads
-// go through the master's FE router, so tool-data receives and
+// go through the master's FE-link demux, so tool-data receives and
 // concurrent tagged collectives share the connection safely.
 func (d *daemonSession) RecvFromFE() ([]byte, error) {
 	if !d.AmIMaster() {
 		return nil, ErrNotMaster
 	}
-	rt := d.feRouter()
-	data, ok := rt.usr.Recv()
+	dm := d.feDemux()
+	data, ok := dm.usr.Recv()
 	if !ok {
-		return nil, rt.takeErr()
+		return nil, dm.cause()
 	}
 	return data, nil
+}
+
+// feDemux returns the master's FE-link demux, starting its reader on
+// first use. Any message other than tool data or a collective frame is a
+// protocol error that stops the link.
+func (d *daemonSession) feDemux() *linkDemux {
+	d.feDmOnce.Do(func() {
+		sim := d.p.Sim()
+		dm := newLinkDemux(sim)
+		d.feDm = dm
+		sim.Go(fmt.Sprintf("%s-master-fe-router", d.fab.kind), func() {
+			dm.close(dm.serve(d.fe, func(msg *lmonp.Msg) error {
+				return fmt.Errorf("core: %v message while awaiting tool data or a collective frame", msg.Type)
+			}))
+		})
+	})
+	return d.feDm
 }
 
 // Finalize leaves the session: it synchronizes the fabric's daemons,

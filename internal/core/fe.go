@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"launchmon/internal/cluster"
-	"launchmon/internal/coll"
 	"launchmon/internal/engine"
 	"launchmon/internal/health"
 	"launchmon/internal/hostlist"
@@ -183,22 +182,17 @@ func (fe *FrontEnd) AttachAndSpawn(opts Options) (*Session, error) {
 type Session struct {
 	ID int
 
-	p        *cluster.Proc
-	fe       *FrontEnd
-	ep       *transport.Endpoint
-	eng      *lmonp.Conn
-	beMaster *lmonp.Conn
-	mwMaster *lmonp.Conn
+	p   *cluster.Proc
+	fe  *FrontEnd
+	ep  *transport.Endpoint
+	eng *lmonp.Conn
 
 	tab        proctab.Table
-	daemons    []DaemonInfo
 	timeout    time.Duration
 	chunkBytes int
 	tableMode  TableMode
 	collChunk  int    // collective-plane chunk bound (0 = coll default)
 	collWindow int    // collective-plane credit window (0 = coll default, <0 = off)
-	collTag    uint32 // BE-fabric collective sequence (FE side)
-	mwTag      uint32 // MW-fabric collective sequence (FE side)
 	userTags   uint32 // AllocTag counter (guarded by mu)
 
 	// Timeline holds the merged e0..e11 critical-path marks for this
@@ -214,10 +208,10 @@ type Session struct {
 	obsMu      sync.Mutex
 	obsHarvest map[string]obs.Snapshot
 
-	// mu guards the lifecycle flags and middleware state below against
-	// concurrent session operations.
+	// mu guards the fabric records, lifecycle flags and middleware state
+	// below against concurrent session operations.
 	mu          sync.Mutex
-	mwInfos     []DaemonInfo
+	be, mw      *feFabric // launched fabrics (nil until their launch commits)
 	mwNodes     []string
 	mwLaunching bool
 	established bool // launch completed; conns and watchers are live
@@ -226,26 +220,12 @@ type Session struct {
 	faultDetail string // why the watchdog tore the session down ("" = no fault)
 
 	// Fault subsystem state: once established, dedicated watcher
-	// goroutines own all reads of the engine and BE-master connections,
+	// goroutines own all reads of the engine and master connections,
 	// demultiplexing synchronous status replies and tool data from
 	// asynchronous status events (job exit, daemon loss).
 	engStatus *vtime.Chan[[]byte]      // engine TypeStatus payloads
 	engToken  *vtime.Chan[struct{}]    // serializes engine request/reply exchanges
-	beUsr     *vtime.Chan[[]byte]      // BE-master TypeUsrData payloads
-	beColl    *vtime.Chan[collEvent]   // BE-master collective chunk/end frames (lockstep tags)
-	beTags    *tagRouter               // BE-master user-tagged collective streams
-	mwUsr     *vtime.Chan[[]byte]      // MW-master TypeUsrData payloads (after LaunchMW)
-	mwColl    *vtime.Chan[collEvent]   // MW-master collective chunk/end frames (lockstep tags)
-	mwTags    *tagRouter               // MW-master user-tagged collective streams
 	evQ       *vtime.Chan[sessionEvOp] // status-event dispatch queue
-}
-
-// collEvent is one routed collective frame — or the decode error that
-// poisoned its stream, so a malformed frame fails the pending collective
-// instead of leaving it waiting for an end marker that never comes.
-type collEvent struct {
-	f   coll.Frame
-	err error
 }
 
 // sessionEvOp is one unit of work for the session's event dispatcher:
@@ -399,12 +379,7 @@ func startSession(fe *FrontEnd, opts Options, attach bool) (*Session, error) {
 
 	// Distribute the session seed (RPDTAB + FEData) and complete the
 	// FE↔master handshake under the selected pipeline.
-	if opts.SeedMode == SeedStoreForward {
-		err = s.launchStoreForward(opts)
-	} else {
-		err = s.launchCutThrough(opts)
-	}
-	if err != nil {
+	if err := s.launchBE(opts); err != nil {
 		s.close()
 		return nil, err
 	}
@@ -420,77 +395,15 @@ func startSession(fe *FrontEnd, opts Options, attach bool) (*Session, error) {
 	s.engStatus = vtime.NewChan[[]byte](sim)
 	s.engToken = vtime.NewChan[struct{}](sim)
 	s.engToken.Send(struct{}{})
-	s.beUsr = vtime.NewChan[[]byte](sim)
-	s.beColl = vtime.NewChan[collEvent](sim)
-	s.beTags = newTagRouter(sim)
 	s.evQ = vtime.NewChan[sessionEvOp](sim)
 	s.mu.Lock()
 	s.established = true
 	s.mu.Unlock()
 	sim.Go(fmt.Sprintf("fe-sess-%d-events", s.ID), s.eventLoop)
 	sim.Go(fmt.Sprintf("fe-sess-%d-eng-watch", s.ID), s.engineReader)
-	sim.Go(fmt.Sprintf("fe-sess-%d-be-watch", s.ID), s.beReader)
+	sim.Go(fmt.Sprintf("fe-sess-%d-be-watch", s.ID), func() { s.masterReader(s.be) })
 	s.fire(health.Event{Kind: health.EvDaemonsSpawned, Rank: -1})
 	return s, nil
-}
-
-// launchStoreForward is the serialized seed pipeline (the paper's
-// Figure 2 shape, kept as the ablation baseline and the pipeline the §4
-// analytic model decomposes): the FE buffers the full RPDTAB from the
-// engine, waits for the spawn status, and only then accepts the master
-// daemon and retransmits the table behind the handshake.
-func (s *Session) launchStoreForward(opts Options) error {
-	sim := s.p.Sim()
-	// The engine replies with the RPDTAB first, streamed as bounded
-	// chunks (the transfer overlaps the daemon spawn), then a status
-	// message once the RM finished spawning. An early status message
-	// means the engine failed before harvesting the table.
-	tab, err := proctab.RecvStream(s.eng, lmonp.ClassFEEngine, func(msg *lmonp.Msg) error {
-		if msg.Type == lmonp.TypeStatus {
-			status, _, _ := engine.DecodeStatus(msg.Payload)
-			return fmt.Errorf("core: engine failed: %s", status)
-		}
-		return fmt.Errorf("core: expected proctab stream, got %v", msg.Type)
-	})
-	if err != nil {
-		return err
-	}
-	s.tab = tab
-	s.obsGauge("fe.table.bytes").SetMax(uint64(tab.MemBytes()))
-
-	status, engTL, err := s.recvStatus()
-	if err != nil {
-		return err
-	}
-	if status != "daemons-spawned" {
-		return fmt.Errorf("core: engine failed: %s", status)
-	}
-	s.Timeline.Merge(engTL)
-
-	// Handshake with the master back-end daemon (e7..e10): the hello-
-	// routed connection for this session, never another's.
-	beConn, err := s.ep.Accept(transport.RoleBE, s.timeout)
-	if err != nil {
-		return fmt.Errorf("core: master daemon did not connect: %w", err)
-	}
-	s.beMaster = beConn
-	s.Timeline.Mark(engine.MarkE7, sim.Now())
-	if err := s.sendHandshake(s.beMaster, lmonp.ClassFEBE, opts.FEData); err != nil {
-		return err
-	}
-	ready, err := s.beMaster.Expect(lmonp.ClassFEBE, lmonp.TypeReady)
-	if err != nil {
-		return err
-	}
-	s.Timeline.Mark(engine.MarkE10, sim.Now())
-	infos, beTL, obsBlob, err := decodeReady(ready.Payload)
-	if err != nil {
-		return err
-	}
-	s.daemons = infos
-	s.Timeline.Merge(beTL)
-	s.stashObsHarvest("BE", obsBlob)
-	return nil
 }
 
 // RegisterStatusCB mirrors lmon_fe_regStatusCB (paper §3.2): cb fires for
@@ -586,86 +499,25 @@ func (s *Session) engineReader() {
 	}
 }
 
-// beReader owns the BE-master connection's read side after launch: tool
-// data queues for RecvFromBE; daemon-loss status events (from the health
-// subsystem at the BE master) fire callbacks and trigger the watchdog. An
-// unexpected connection loss means the master daemon itself (or its node)
-// died.
-func (s *Session) beReader() {
-	s.masterReader(s.beMaster, s.beUsr, s.beColl, s.beTags, "")
-}
-
-// mwReader is the MW-fabric mirror of beReader, started when LaunchMW
-// commits: it demuxes the MW master connection into the MW tool-data and
-// collective queues, and reacts to MW-daemon loss (health events from the
-// MW heartbeat tree, or the MW master's own link severing) exactly like
-// BE-daemon loss — callbacks fire and the watchdog tears the session down.
-func (s *Session) mwReader() {
-	s.mu.Lock()
-	conn, usrQ, collQ, tags := s.mwMaster, s.mwUsr, s.mwColl, s.mwTags
-	s.mu.Unlock()
-	s.masterReader(conn, usrQ, collQ, tags, "mw ")
-}
-
-// masterReader is the shared demux loop for a fabric's master-daemon
-// connection. kind prefixes fault details ("" for the BE fabric, "mw "
-// for the MW fabric) so tools and fault errors can tell which fabric's
-// daemon was lost.
-func (s *Session) masterReader(conn *lmonp.Conn, usrQ *vtime.Chan[[]byte], collQ *vtime.Chan[collEvent], tags *tagRouter, kind string) {
-	for {
-		msg, err := conn.Recv()
-		if err != nil {
-			// A clean EOF is the master daemon finalizing (tools may leave
-			// the session at any time); only a severed link — the master's
-			// node died — is a fault. The fault detail is recorded before
-			// the queues close so blocked receive/collective callers wake
-			// to an error that says why the session died.
-			if errors.Is(err, simnet.ErrPeerDead) && !s.closed() {
-				s.noteFault(kind + "master daemon connection severed")
-			}
-			usrQ.Close()
-			collQ.Close()
-			tags.close()
-			if errors.Is(err, simnet.ErrPeerDead) && !s.closed() {
-				s.fire(health.Event{
-					Kind: health.EvDaemonExited, Rank: 0,
-					Detail: kind + "master daemon connection severed",
-				})
-				s.p.Sim().Go(fmt.Sprintf("fe-sess-%d-watchdog", s.ID), func() {
-					s.watchdogTeardown(kind + "master daemon lost")
-				})
-			}
-			return
-		}
+// masterReader owns a fabric's master-daemon connection after its launch:
+// the link demux queues tool data and collective frames, and this reader
+// handles the rest — metrics harvests, and daemon-loss status events
+// (from the fabric's heartbeat tree), which fire callbacks and trigger the
+// watchdog. An unexpected connection loss means the master daemon itself
+// (or its node) died. The fabric's fault prefix lets tools and fault
+// errors tell which fabric's daemon was lost.
+func (s *Session) masterReader(fab *feFabric) {
+	kind := fab.prof.faultPrefix()
+	err := fab.dm.serve(fab.conn, func(msg *lmonp.Msg) error {
 		switch msg.Type {
-		case lmonp.TypeUsrData:
-			usrQ.Send(msg.UsrData)
-		case lmonp.TypeCollChunk, lmonp.TypeCollEnd:
-			f, err := coll.DecodeMsg(msg.Type == lmonp.TypeCollEnd, msg.Payload, msg.UsrData)
-			switch {
-			case err != nil:
-				// An undecodable frame names no trustworthy tag: poison the
-				// lockstep queue and every tagged stream so no pending
-				// collective waits for an end marker that never comes.
-				collQ.Send(collEvent{err: err})
-				tags.poison(err)
-			case f.H.Tag >= coll.MinUserTag:
-				tags.send(f.H.Tag, collEvent{f: f})
-			default:
-				collQ.Send(collEvent{f: f})
-			}
 		case lmonp.TypeObsMetrics:
 			// The finalize-time harvest: a cumulative fabric-wide snapshot
 			// folded up the tree and pushed by the master before it closes.
-			fabric := "BE"
-			if kind != "" {
-				fabric = "MW"
-			}
-			s.stashObsHarvest(fabric, msg.Payload)
+			s.stashObsHarvest(fab.prof.kind, msg.Payload)
 		case lmonp.TypeStatusEvent:
 			ev, err := health.DecodeEvent(msg.Payload)
 			if err != nil {
-				continue
+				return nil
 			}
 			if kind != "" {
 				ev.Detail = kind + "fabric: " + ev.Detail
@@ -680,6 +532,26 @@ func (s *Session) masterReader(conn *lmonp.Conn, usrQ *vtime.Chan[[]byte], collQ
 				})
 			}
 		}
+		return nil
+	})
+	// A clean EOF is the master daemon finalizing (tools may leave the
+	// session at any time); only a severed link — the master's node died
+	// — is a fault. The fault detail is recorded before the queues close
+	// so blocked receive/collective callers wake to an error that says
+	// why the session died.
+	severed := errors.Is(err, simnet.ErrPeerDead) && !s.closed()
+	if severed {
+		s.noteFault(kind + "master daemon connection severed")
+	}
+	fab.dm.close(err)
+	if severed {
+		s.fire(health.Event{
+			Kind: health.EvDaemonExited, Rank: 0,
+			Detail: kind + "master daemon connection severed",
+		})
+		s.p.Sim().Go(fmt.Sprintf("fe-sess-%d-watchdog", s.ID), func() {
+			s.watchdogTeardown(kind + "master daemon lost")
+		})
 	}
 }
 
@@ -733,24 +605,6 @@ func (s *Session) finishTeardown(detail string) {
 	s.fire(health.Event{Kind: health.EvSessionTornDown, Rank: -1, Detail: detail})
 }
 
-// sendHandshake sends the session handshake to a master daemon: the
-// handshake message itself (carrying the piggybacked tool data), then the
-// RPDTAB as a bounded-chunk stream.
-func (s *Session) sendHandshake(c *lmonp.Conn, class lmonp.MsgClass, feData []byte) error {
-	if err := c.Send(&lmonp.Msg{Class: class, Type: lmonp.TypeHandshake, UsrData: feData}); err != nil {
-		return err
-	}
-	return proctab.SendStream(c, class, s.tab, s.chunkBytes)
-}
-
-func (s *Session) recvStatus() (string, engine.Timeline, error) {
-	msg, err := s.eng.Expect(lmonp.ClassFEEngine, lmonp.TypeStatus)
-	if err != nil {
-		return "", engine.Timeline{}, err
-	}
-	return engine.DecodeStatus(msg.Payload)
-}
-
 // closed reports whether the session has been detached or killed.
 func (s *Session) closed() bool {
 	s.mu.Lock()
@@ -790,26 +644,46 @@ func (s *Session) closedErr() error {
 func (s *Session) Proctab() proctab.Table { return s.tab }
 
 // Daemons returns the per-daemon records gathered during handshake.
-func (s *Session) Daemons() []DaemonInfo { return s.daemons }
+func (s *Session) Daemons() []DaemonInfo {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.be == nil {
+		return nil
+	}
+	return s.be.infos
+}
 
 // SendToBE ships tool data to the master back-end daemon (which typically
 // broadcasts it over ICCL).
-func (s *Session) SendToBE(data []byte) error {
-	if s.beMaster == nil || s.closed() {
-		return ErrSessionClosed
-	}
-	return s.beMaster.Send(&lmonp.Msg{Class: lmonp.ClassFEBE, Type: lmonp.TypeUsrData, UsrData: data})
-}
+func (s *Session) SendToBE(data []byte) error { return s.sendTo(false, data) }
 
 // RecvFromBE receives tool data from the master back-end daemon (queued
 // by the session's BE watcher, which filters out status events). On a
 // session the watchdog tore down, the error wraps the terminal fault
 // detail (see closedErr).
-func (s *Session) RecvFromBE() ([]byte, error) {
-	if s.beMaster == nil || s.closed() {
-		return nil, s.closedErr()
+func (s *Session) RecvFromBE() ([]byte, error) { return s.recvFrom(false) }
+
+// sendTo ships tool data to a fabric's master daemon. On a finished
+// session it reports the bare ErrSessionClosed, which callers may compare
+// with ==; only receives wrap the terminal fault detail.
+func (s *Session) sendTo(mw bool, data []byte) error {
+	fab, err := s.fabric(mw)
+	if errors.Is(err, ErrSessionClosed) {
+		return ErrSessionClosed
 	}
-	data, ok := s.beUsr.Recv()
+	if err != nil {
+		return err
+	}
+	return fab.conn.Send(&lmonp.Msg{Class: fab.prof.class, Type: lmonp.TypeUsrData, UsrData: data})
+}
+
+// recvFrom receives tool data from a fabric's master daemon.
+func (s *Session) recvFrom(mw bool) ([]byte, error) {
+	fab, err := s.fabric(mw)
+	if err != nil {
+		return nil, err
+	}
+	data, ok := fab.dm.usr.Recv()
 	if !ok {
 		return nil, s.closedErr()
 	}
@@ -884,13 +758,12 @@ func (s *Session) close() {
 		s.eng.Close()
 	}
 	s.mu.Lock()
-	be, mw := s.beMaster, s.mwMaster
+	fabs := []*feFabric{s.be, s.mw}
 	s.mu.Unlock()
-	if be != nil {
-		be.Close()
-	}
-	if mw != nil {
-		mw.Close()
+	for _, fab := range fabs {
+		if fab != nil {
+			fab.conn.Close()
+		}
 	}
 	if s.ep != nil {
 		s.ep.Close()

@@ -9,14 +9,15 @@ import (
 	"launchmon/internal/vtime"
 )
 
-// This file is the front-end half of the cut-through launch pipeline
-// (DESIGN.md "Life of a session"): instead of buffering the full RPDTAB
-// from the engine and retransmitting it after the spawn status arrives,
-// the FE relays each chunk toward the master back-end daemon as it
-// arrives, and accepts the master's connection concurrently with the
-// engine stream and status wait — so the FE↔BE handshake (with FEData
-// ahead of the table) begins the moment the master dials in, typically
-// while the RM is still spawning the master's sibling daemons.
+// This file is the front-end half of the launch pipeline (DESIGN.md
+// "Life of a session"). One seed relay per fabric accepts the master
+// daemon's connection and forwards the session seed to it. Under the
+// default cut-through mode the relay runs from the start: the FE relays
+// each engine chunk toward the BE master as it arrives, and the FE↔master
+// handshake (with FEData ahead of the table) begins the moment the master
+// dials in, typically while the RM is still spawning the master's sibling
+// daemons. The store-forward baseline is the same relay with its start
+// held back until the FE holds the full table and the spawn status.
 
 // SeedMode selects how a session's seed — the RPDTAB plus the
 // piggybacked Options.FEData — reaches every back-end daemon.
@@ -30,10 +31,11 @@ const (
 	// the full table.
 	SeedCutThrough SeedMode = iota
 	// SeedStoreForward is the serialized baseline (the paper's Figure 2
-	// pipeline): full-table buffering at the FE and again at the master,
-	// which broadcasts it as one monolithic frame after bootstrap. Kept for
-	// the launch-pipeline ablation and for the §4 analytic model, whose
-	// decomposition assumes the serialized event chain.
+	// pipeline): full-table buffering at the FE — the seed relay starts
+	// only once the table and the spawn status are in — and again at the
+	// master, which broadcasts it as one monolithic frame after bootstrap.
+	// Kept for the launch-pipeline ablation and for the §4 analytic model,
+	// whose decomposition assumes the serialized event chain.
 	SeedStoreForward
 )
 
@@ -100,16 +102,19 @@ type relayResult struct {
 }
 
 // seedRelay accepts a fabric's master-daemon connection and forwards the
-// seed stream to it, concurrently with whatever the launch path is doing
-// (draining the engine chunk stream on the BE fabric, awaiting the MW
-// spawn status on the MW fabric). The fabric profile selects the LMONP
-// class, the transport role, and which timeline marks the relay stamps.
+// seed stream to it. Under cut-through it runs concurrently with whatever
+// the launch path is doing (draining the engine chunk stream on the BE
+// fabric, awaiting the MW spawn status on the MW fabric); under
+// store-forward the launch path starts it only after that, with the whole
+// seed already queued. The fabric profile selects the LMONP class, the
+// transport role, and which timeline marks the relay stamps.
 type seedRelay struct {
-	s      *Session
-	fab    fabricProfile
-	feData []byte
-	items  *vtime.Chan[seedItem]
-	result *vtime.Chan[relayResult]
+	s       *Session
+	fab     fabricProfile
+	feData  []byte
+	items   *vtime.Chan[seedItem]
+	result  *vtime.Chan[relayResult]
+	started bool
 
 	markAccept, markFwd, markReady string
 }
@@ -125,15 +130,52 @@ func newSeedRelay(s *Session, fab fabricProfile, feData []byte, markAccept, mark
 	}
 }
 
-// abort wakes a relay parked on the item queue and stops further
+// start launches the relay goroutine.
+func (r *seedRelay) start() {
+	r.started = true
+	r.s.p.Sim().Go(fmt.Sprintf("fe-sess-%d-%s-seed-relay", r.s.ID, r.fab.kind), r.run)
+}
+
+// abandon stops the relay of a failed launch, then calls done. Closing
+// the item queue wakes a relay parked on it and stops further
 // forwarding: the relay checks the queue's closed flag before each item,
-// so even a pre-fed queue (the MW path queues the whole re-chunked table
-// up front) stops streaming to a stale dial after an abort — queued
-// values surviving Close would otherwise keep the stream flowing. A
-// relay parked in Endpoint.Accept is released by the caller closing the
-// session (s.close closes the endpoint); one already past its end marker
-// is parked on the peer's ready and is reaped by the caller instead.
-func (r *seedRelay) abort() { r.items.Close() }
+// so even a pre-fed queue stops streaming to a stale dial — queued values
+// surviving Close would otherwise keep the stream flowing. A relay parked
+// in Endpoint.Accept is released by the session's close of the endpoint.
+// One that has relayed the end marker is parked awaiting the master's
+// ready and would otherwise hand back an open connection nobody reads —
+// leaving the master (and with it the whole daemon tree) waiting on the
+// session forever. A reaper drains the result, closes that connection
+// and only then calls done, so a retry cannot race a stale Accept for the
+// next master's dial. A relay that never started needs no reaper.
+func (r *seedRelay) abandon(done func()) {
+	r.items.Close()
+	if !r.started {
+		done()
+		return
+	}
+	r.s.p.Sim().Go(fmt.Sprintf("fe-sess-%d-%s-relay-reaper", r.s.ID, r.fab.kind), func() {
+		if res, ok := r.result.Recv(); ok && res.conn != nil {
+			res.conn.Close()
+		}
+		done()
+	})
+}
+
+// awaitMaster waits for the relay's outcome and records the fabric.
+func (r *seedRelay) awaitMaster() (*feFabric, error) {
+	res, ok := r.result.Recv()
+	if !ok {
+		return nil, fmt.Errorf("core: session %d: %s seed relay lost", r.s.ID, r.fab.kind)
+	}
+	if res.err != nil {
+		return nil, res.err
+	}
+	s := r.s
+	s.Timeline.Merge(res.tl)
+	s.stashObsHarvest(r.fab.kind, res.obsBlob)
+	return &feFabric{prof: r.fab, conn: res.conn, dm: newLinkDemux(s.p.Sim()), infos: res.infos}, nil
+}
 
 func (r *seedRelay) run() {
 	res := r.relay()
@@ -210,31 +252,25 @@ func (r *seedRelay) relay() relayResult {
 	return relayResult{conn: conn, infos: infos, tl: tl, obsBlob: obsBlob}
 }
 
-// launchCutThrough drains the engine's chunk stream and status while the
-// relay goroutine independently accepts the master daemon, handshakes,
-// and forwards the chunks. The FE assembles its own table copy from the
-// same chunks in passing — it never waits for the full table before
-// forwarding, and never retransmits it after the status arrives.
-func (s *Session) launchCutThrough(opts Options) error {
-	sim := s.p.Sim()
+// launchBE drains the engine's chunk stream and spawn status and relays
+// the session seed to the BE master. The FE assembles its own table copy
+// from the same chunks in passing. Under cut-through the relay runs from
+// the start and forwards each chunk as it arrives, so the FE never waits
+// for the full table before forwarding and never retransmits it after the
+// status arrives; under store-forward the chunks queue until both the end
+// marker and the status are in, and only then does the relay accept the
+// master.
+func (s *Session) launchBE(opts Options) error {
+	storeForward := opts.SeedMode == SeedStoreForward
 	relay := newSeedRelay(s, beFabric, opts.FEData,
 		engine.MarkE7, engine.MarkSeedFwd, engine.MarkE10)
-	sim.Go(fmt.Sprintf("fe-sess-%d-seed-relay", s.ID), relay.run)
-
-	// fail abandons the relay on an engine-side error. Closing the item
-	// queue only reaches a relay still forwarding; one that has relayed
-	// the end marker is parked awaiting the master's ready and would
-	// otherwise hand back an open connection nobody reads — leaving the
-	// master (and with it the whole daemon tree) waiting on the session
-	// forever. A reaper drains the result and closes that connection; a
-	// relay still parked in Accept is released by the caller's s.close().
+	if !storeForward {
+		relay.start()
+	}
+	// fail abandons the relay on an engine-side error; a relay still
+	// parked in Accept is released by the caller's s.close().
 	fail := func(err error) error {
-		relay.abort()
-		sim.Go(fmt.Sprintf("fe-sess-%d-relay-reaper", s.ID), func() {
-			if res, ok := relay.result.Recv(); ok && res.conn != nil {
-				res.conn.Close()
-			}
-		})
+		relay.abandon(func() {})
 		return err
 	}
 
@@ -272,7 +308,7 @@ func (s *Session) launchCutThrough(opts Options) error {
 			}
 			s.tab = tab
 			s.obsGauge("fe.table.bytes").SetMax(uint64(tab.MemBytes()))
-			if s.tableMode == TableSliced {
+			if s.tableMode == TableSliced && !storeForward {
 				// Publish the shared index before relaying the end marker:
 				// every daemon's seed drain completes only after this marker
 				// flows through the tree, so the index is visible by the
@@ -300,17 +336,15 @@ func (s *Session) launchCutThrough(opts Options) error {
 		}
 	}
 	s.Timeline.Merge(engTL)
-
-	res, ok := relay.result.Recv()
-	if !ok {
-		return fmt.Errorf("core: session %d: seed relay lost", s.ID)
+	if storeForward {
+		relay.start()
 	}
-	if res.err != nil {
-		return res.err
+	fab, err := relay.awaitMaster()
+	if err != nil {
+		return err
 	}
-	s.beMaster = res.conn
-	s.daemons = res.infos
-	s.Timeline.Merge(res.tl)
-	s.stashObsHarvest("BE", res.obsBlob)
+	s.mu.Lock()
+	s.be = fab
+	s.mu.Unlock()
 	return nil
 }

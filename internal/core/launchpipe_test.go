@@ -91,6 +91,58 @@ func TestLaunchPipelineMarksMonotone(t *testing.T) {
 	}
 }
 
+// TestStoreForwardHoldsSeedUntilSpawned pins the store-forward baseline
+// as the paper's serialized Figure 2 pipeline: the FE's seed relay starts
+// only once the full table and the spawn status are in, so the whole
+// e0…e11 chain is monotone and the handshake and first forward follow
+// the spawn (e6 ≤ e7 ≤ seed_first_forward) — a relay started any earlier
+// would accept the master while its siblings are still spawning.
+func TestStoreForwardHoldsSeedUntilSpawned(t *testing.T) {
+	serial := []string{engine.MarkE0, engine.MarkE1, engine.MarkE2, engine.MarkE3,
+		engine.MarkE4, engine.MarkE5, engine.MarkE6, engine.MarkE7, engine.MarkE8,
+		engine.MarkE9, engine.MarkE10, engine.MarkE11}
+	for _, shape := range launchPipeShapes {
+		t.Run(fmt.Sprintf("K%d_f%d", shape.nodes, shape.fanout), func(t *testing.T) {
+			sim, cl, _ := rig(t, shape.nodes)
+			cl.Register("sf_be", func(p *cluster.Proc) {
+				be, err := BEInit(p)
+				if err != nil {
+					t.Errorf("BEInit: %v", err)
+					return
+				}
+				be.Finalize()
+			})
+			runFE(t, sim, cl, func(p *cluster.Proc) {
+				s, err := LaunchAndSpawn(p, Options{
+					Job:               rm.JobSpec{Exe: "app", Nodes: shape.nodes, TasksPerNode: 4},
+					Daemon:            rm.DaemonSpec{Exe: "sf_be"},
+					ICCLFanout:        shape.fanout,
+					SeedMode:          SeedStoreForward,
+					ProctabChunkBytes: 64,
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, chain := range [][]string{serial, {engine.MarkE6, engine.MarkE7, engine.MarkSeedFwd}} {
+					prev, prevName := time.Duration(-1), ""
+					for _, name := range chain {
+						at, ok := s.Timeline.Get(name)
+						if !ok {
+							t.Errorf("mark %s missing", name)
+							continue
+						}
+						if at < prev {
+							t.Errorf("mark %s at %v precedes %s at %v", name, at, prevName, prev)
+						}
+						prev, prevName = at, name
+					}
+				}
+			})
+		})
+	}
+}
+
 // TestDaemonsSpawnedAfterEveryRankValidates pins the pipeline's safety
 // half: however aggressively phases overlap, the ready message (e10, and
 // with it the EvDaemonsSpawned transition) must not beat any rank's

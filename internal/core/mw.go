@@ -8,7 +8,6 @@ import (
 	"launchmon/internal/lmonp"
 	"launchmon/internal/rm"
 	"launchmon/internal/transport"
-	"launchmon/internal/vtime"
 )
 
 // MWOptions parameterize middleware daemon launches. The MW fabric gets
@@ -54,7 +53,7 @@ func (s *Session) LaunchMW(opts MWOptions) ([]string, error) {
 		s.mu.Unlock()
 		return nil, ErrSessionClosed
 	}
-	if s.mwMaster != nil || s.mwLaunching {
+	if s.mw != nil || s.mwLaunching {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("core: session %d already has middleware daemons", s.ID)
 	}
@@ -100,88 +99,61 @@ func (s *Session) LaunchMW(opts MWOptions) ([]string, error) {
 		s.mu.Unlock()
 	}
 
-	var nodes []string
-	var res relayResult
-	if opts.SeedMode == SeedStoreForward {
-		var err error
-		if nodes, err = s.mwSpawn(opts.Nodes, daemon); err != nil {
-			release()
-			return nil, err
+	// The relay accepts the MW master and streams the seed. Under
+	// cut-through it runs concurrently with the spawn exchange below — the
+	// master daemon dials the moment the RM spawns it, typically while its
+	// sibling daemons are still coming up, and the seed flows through the
+	// forming MW tree (iccl.BootstrapSeed) with per-rank validation. Under
+	// store-forward it starts only once the spawn completed.
+	storeForward := opts.SeedMode == SeedStoreForward
+	relay := newSeedRelay(s, mwFabric, opts.FEData,
+		engine.MarkMW7, engine.MarkMWSeedFwd, engine.MarkMW10)
+	if storeForward || s.tableMode == TableFull {
+		// The FE already holds the assembled table; re-chunk it into the
+		// relay so the MW stream is bounded exactly like the BE stream,
+		// folding the per-chunk sums into the end digest.
+		digest := lmonp.SumInit
+		for _, chunk := range s.tab.EncodeChunks(s.chunkBytes) {
+			digest = lmonp.FoldSum(digest, lmonp.Sum64(chunk))
+			relay.items.Send(seedItem{chunk: chunk})
 		}
-		if res, err = s.mwSeedStoreForward(opts); err != nil {
-			release()
-			return nil, err
-		}
+		relay.items.Send(seedItem{end: true, total: uint64(len(s.tab)), sum: digest})
 	} else {
-		// Cut-through: the relay accepts the MW master and streams the seed
-		// concurrently with the spawn exchange below — the master daemon
-		// dials the moment the RM spawns it, typically while its sibling
-		// daemons are still coming up, and the seed flows through the
-		// forming MW tree (iccl.BootstrapSeed) with per-rank validation.
-		relay := newSeedRelay(s, mwFabric, opts.FEData,
-			engine.MarkMW7, engine.MarkMWSeedFwd, engine.MarkMW10)
-		sim.Go(fmt.Sprintf("fe-sess-%d-mw-seed-relay", s.ID), relay.run)
-		if s.tableMode == TableSliced {
-			// Rank-sliced retention: MW daemons own no application tasks,
-			// so their slice is empty — the stream is just the FEData
-			// preamble plus an empty-table end marker, and MW daemons read
-			// the full table (when a tool asks) from the session-shared
-			// index. The seed transfer drops from O(K) to O(1) per MW link.
-			relay.items.Send(seedItem{end: true, total: 0, sum: lmonp.SumInit})
-		} else {
-			// The FE already holds the assembled table; re-chunk it into
-			// the relay so the MW stream is bounded exactly like the BE
-			// stream, folding the per-chunk sums into the end digest.
-			digest := lmonp.SumInit
-			for _, chunk := range s.tab.EncodeChunks(s.chunkBytes) {
-				digest = lmonp.FoldSum(digest, lmonp.Sum64(chunk))
-				relay.items.Send(seedItem{chunk: chunk})
-			}
-			relay.items.Send(seedItem{end: true, total: uint64(len(s.tab)), sum: digest})
-		}
-
-		var err error
-		if nodes, err = s.mwSpawn(opts.Nodes, daemon); err != nil {
-			// The relay may still be parked in Accept (no MW daemon will
-			// ever dial) or mid-handshake with a daemon set that is being
-			// torn down; a reaper closes whatever it hands back and only
-			// then frees the launch slot, so a retry cannot race a stale
-			// Accept for the next master's dial.
-			relay.abort()
-			sim.Go(fmt.Sprintf("fe-sess-%d-mw-relay-reaper", s.ID), func() {
-				if r, ok := relay.result.Recv(); ok && r.conn != nil {
-					r.conn.Close()
-				}
-				release()
-			})
-			return nil, err
-		}
-		var ok bool
-		if res, ok = relay.result.Recv(); !ok {
-			release()
-			return nil, fmt.Errorf("core: session %d: MW seed relay lost", s.ID)
-		}
-		if res.err != nil {
-			release()
-			return nil, res.err
-		}
+		// Rank-sliced retention: MW daemons own no application tasks, so
+		// their slice is empty — the stream is just the FEData preamble
+		// plus an empty-table end marker, and MW daemons read the full
+		// table (when a tool asks) from the session-shared index. The seed
+		// transfer drops from O(K) to O(1) per MW link.
+		relay.items.Send(seedItem{end: true, total: 0, sum: lmonp.SumInit})
 	}
-
-	s.Timeline.Merge(res.tl)
-	s.stashObsHarvest("MW", res.obsBlob)
+	if !storeForward {
+		relay.start()
+	}
+	nodes, err := s.mwSpawn(opts.Nodes, daemon)
+	if err != nil {
+		// The relay may still be parked in Accept (no MW daemon will ever
+		// dial) or mid-handshake with a daemon set that is being torn
+		// down; abandoning it frees the launch slot only once it is reaped.
+		relay.abandon(release)
+		return nil, err
+	}
+	if storeForward {
+		relay.start()
+	}
+	fab, err := relay.awaitMaster()
+	if err != nil {
+		release()
+		return nil, err
+	}
 	s.mu.Lock()
-	s.mwMaster = res.conn
+	s.mw = fab
 	s.mwNodes = nodes
-	s.mwInfos = res.infos
-	s.mwUsr = vtime.NewChan[[]byte](sim)
-	s.mwColl = vtime.NewChan[collEvent](sim)
-	s.mwTags = newTagRouter(sim)
 	s.mwLaunching = false
 	s.mu.Unlock()
 	// Hand the MW master connection's read side to a watcher goroutine
 	// demuxing tool data and collective frames from async status events
-	// (MW-daemon loss), mirroring the BE master's reader.
-	sim.Go(fmt.Sprintf("fe-sess-%d-mw-watch", s.ID), s.mwReader)
+	// (MW-daemon loss), exactly like the BE master's reader.
+	sim.Go(fmt.Sprintf("fe-sess-%d-mw-watch", s.ID), func() { s.masterReader(fab) })
 	return nodes, nil
 }
 
@@ -207,36 +179,6 @@ func (s *Session) mwSpawn(nodes int, daemon rm.DaemonSpec) ([]string, error) {
 	return rd.StringList()
 }
 
-// mwSeedStoreForward is the serialized MW baseline: accept the master
-// after the spawn completed, stream the full table behind the handshake
-// (the master buffers it and broadcasts after bootstrap), await ready.
-func (s *Session) mwSeedStoreForward(opts MWOptions) (relayResult, error) {
-	sim := s.p.Sim()
-	conn, err := s.ep.Accept(transport.RoleMW, s.timeout)
-	if err != nil {
-		return relayResult{}, fmt.Errorf("core: MW master did not connect: %w", err)
-	}
-	var tl engine.Timeline
-	tl.Mark(engine.MarkMW7, sim.Now())
-	if err := s.sendHandshake(conn, lmonp.ClassFEMW, opts.FEData); err != nil {
-		conn.Close()
-		return relayResult{}, err
-	}
-	ready, err := conn.Expect(lmonp.ClassFEMW, lmonp.TypeReady)
-	if err != nil {
-		conn.Close()
-		return relayResult{}, err
-	}
-	tl.Mark(engine.MarkMW10, sim.Now())
-	infos, masterTL, obsBlob, err := decodeReady(ready.Payload)
-	if err != nil {
-		conn.Close()
-		return relayResult{}, err
-	}
-	tl.Merge(masterTL)
-	return relayResult{conn: conn, infos: infos, tl: tl, obsBlob: obsBlob}, nil
-}
-
 // MWNodes returns the middleware allocation (after LaunchMW).
 func (s *Session) MWNodes() []string {
 	s.mu.Lock()
@@ -248,48 +190,20 @@ func (s *Session) MWNodes() []string {
 func (s *Session) MWDaemons() []DaemonInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]DaemonInfo(nil), s.mwInfos...)
-}
-
-// mwConn returns the middleware master connection, if any.
-func (s *Session) mwConn() *lmonp.Conn {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mwMaster
+	if s.mw == nil {
+		return nil
+	}
+	return append([]DaemonInfo(nil), s.mw.infos...)
 }
 
 // SendToMW ships tool data to the master middleware daemon.
-func (s *Session) SendToMW(data []byte) error {
-	c := s.mwConn()
-	if c == nil {
-		return fmt.Errorf("core: session %d has no middleware daemons", s.ID)
-	}
-	if s.closed() {
-		return ErrSessionClosed
-	}
-	return c.Send(&lmonp.Msg{Class: lmonp.ClassFEMW, Type: lmonp.TypeUsrData, UsrData: data})
-}
+func (s *Session) SendToMW(data []byte) error { return s.sendTo(true, data) }
 
 // RecvFromMW receives tool data from the master middleware daemon
 // (queued by the session's MW watcher, which filters out status events
 // and collective frames). On a session the watchdog tore down, the error
 // wraps the terminal fault detail (see closedErr).
-func (s *Session) RecvFromMW() ([]byte, error) {
-	s.mu.Lock()
-	c, q := s.mwMaster, s.mwUsr
-	s.mu.Unlock()
-	if c == nil {
-		return nil, fmt.Errorf("core: session %d has no middleware daemons", s.ID)
-	}
-	if s.closed() {
-		return nil, s.closedErr()
-	}
-	data, ok := q.Recv()
-	if !ok {
-		return nil, s.closedErr()
-	}
-	return data, nil
-}
+func (s *Session) RecvFromMW() ([]byte, error) { return s.recvFrom(true) }
 
 // Middleware is the MW-daemon-side session handle (paper §3.4). Its
 // personality handle is the rank, assigned by the RM spawn. It shares the

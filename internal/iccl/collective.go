@@ -116,11 +116,13 @@ func (pl *Plane) nextTreeTag() uint32 {
 	return coll.MaxUserTag + pl.treeSeq
 }
 
-// checkUserTag validates an explicitly allocated stream tag.
-func checkUserTag(tag uint32) error {
-	if tag < coll.MinUserTag || tag >= coll.MaxUserTag {
-		return fmt.Errorf("%w: user tag %d outside [%d, %d)", ErrProtocol, tag, coll.MinUserTag, coll.MaxUserTag)
+// beginTagged validates an explicitly allocated stream tag and starts
+// the link routers — the entry of every *Tag operation.
+func (pl *Plane) beginTagged(tag uint32) error {
+	if err := coll.CheckUserTag(tag); err != nil {
+		return fmt.Errorf("%w: %v", ErrProtocol, err)
 	}
+	pl.c.startRouter()
 	return nil
 }
 
@@ -223,7 +225,7 @@ func (pl *Plane) sendFrame(conn *simnet.Conn, f coll.Frame) error {
 	pl.c.collTxFrames.Inc()
 	pl.c.collTxBytes.Add(uint64(n))
 	if rt != nil && f.End {
-		rt.dropGate(f.H.Tag)
+		rt.endGate(f.H.Tag)
 	}
 	return nil
 }
@@ -292,10 +294,9 @@ func (pl *Plane) Broadcast() ([]byte, error) {
 
 // BroadcastTag is Broadcast on an explicitly tagged concurrent stream.
 func (pl *Plane) BroadcastTag(tag uint32) ([]byte, error) {
-	if err := checkUserTag(tag); err != nil {
+	if err := pl.beginTagged(tag); err != nil {
 		return nil, err
 	}
-	pl.c.startRouter()
 	return pl.broadcast(tag)
 }
 
@@ -351,10 +352,9 @@ func (pl *Plane) Scatter() ([]byte, error) {
 
 // ScatterTag is Scatter on an explicitly tagged concurrent stream.
 func (pl *Plane) ScatterTag(tag uint32) ([]byte, error) {
-	if err := checkUserTag(tag); err != nil {
+	if err := pl.beginTagged(tag); err != nil {
 		return nil, err
 	}
-	pl.c.startRouter()
 	return pl.scatter(tag)
 }
 
@@ -431,10 +431,9 @@ func (pl *Plane) Gather(mine []byte) error {
 
 // GatherTag is Gather on an explicitly tagged concurrent stream.
 func (pl *Plane) GatherTag(tag uint32, mine []byte) error {
-	if err := checkUserTag(tag); err != nil {
+	if err := pl.beginTagged(tag); err != nil {
 		return err
 	}
-	pl.c.startRouter()
 	return pl.gather(tag, mine)
 }
 
@@ -502,10 +501,9 @@ func (pl *Plane) Reduce(mine []byte, filter string) error {
 
 // ReduceTag is Reduce on an explicitly tagged concurrent stream.
 func (pl *Plane) ReduceTag(tag uint32, mine []byte, filter string) error {
-	if err := checkUserTag(tag); err != nil {
+	if err := pl.beginTagged(tag); err != nil {
 		return err
 	}
-	pl.c.startRouter()
 	return pl.reduce(tag, mine, filter)
 }
 
@@ -579,10 +577,9 @@ func (pl *Plane) Barrier() error {
 
 // BarrierTag is Barrier on an explicitly tagged concurrent stream.
 func (pl *Plane) BarrierTag(tag uint32) error {
-	if err := checkUserTag(tag); err != nil {
+	if err := pl.beginTagged(tag); err != nil {
 		return err
 	}
-	pl.c.startRouter()
 	return pl.barrier(tag)
 }
 
@@ -637,10 +634,9 @@ func (pl *Plane) AllGather(mine []byte) ([][]byte, error) {
 
 // AllGatherTag is AllGather on an explicitly tagged concurrent stream.
 func (pl *Plane) AllGatherTag(tag uint32, mine []byte) ([][]byte, error) {
-	if err := checkUserTag(tag); err != nil {
+	if err := pl.beginTagged(tag); err != nil {
 		return nil, err
 	}
-	pl.c.startRouter()
 	return pl.allGather(tag, mine)
 }
 
@@ -737,10 +733,9 @@ func (pl *Plane) AllReduce(mine []byte, filter string) ([]byte, error) {
 
 // AllReduceTag is AllReduce on an explicitly tagged concurrent stream.
 func (pl *Plane) AllReduceTag(tag uint32, mine []byte, filter string) ([]byte, error) {
-	if err := checkUserTag(tag); err != nil {
+	if err := pl.beginTagged(tag); err != nil {
 		return nil, err
 	}
-	pl.c.startRouter()
 	return pl.allReduce(tag, mine, filter)
 }
 

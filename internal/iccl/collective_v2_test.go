@@ -239,8 +239,8 @@ func TestPlaneConcurrentTaggedCollectives(t *testing.T) {
 func TestPlaneUserTagRangeEnforced(t *testing.T) {
 	rig(t, 1, 2, func(c *Comm, p *cluster.Proc) error {
 		pl := c.NewPlane(0, 0, func(coll.Frame) error { return nil }, nil)
-		if err := pl.BarrierTag(coll.MinUserTag - 1); err == nil {
-			return fmt.Errorf("lockstep-space tag accepted")
+		if err := pl.BarrierTag(coll.MinUserTag - 1); !errors.Is(err, ErrProtocol) {
+			return fmt.Errorf("lockstep-space tag: %v, want ErrProtocol", err)
 		}
 		if _, err := pl.AllGatherTag(coll.MaxUserTag, nil); err == nil {
 			return fmt.Errorf("tree-space tag accepted")

@@ -79,7 +79,7 @@ func TestSeedGoroutinesOnlyAtForwardingRanks(t *testing.T) {
 				}
 				c, seed, err := BootstrapSeed(p, Config{
 					Rank: i, Size: n, Fanout: fanout, Nodelist: nodelist, Port: 50004,
-				}, src)
+				}, src, nil)
 				if err != nil {
 					errs[i] = err
 					return

@@ -29,7 +29,7 @@ type connRouter struct {
 	mu     sync.Mutex
 	base   *vtime.Chan[[]byte]                // non-plane tree frames
 	tags   map[uint32]*vtime.Chan[coll.Frame] // per-tag collective streams
-	qBytes map[uint32]uint64                  // queued body bytes per tag
+	load   map[uint32]queueLoad               // queued chunks and body bytes per tag
 	gates  map[uint32]*creditGate             // send-side credit per tag
 	err    error
 	closed bool
@@ -118,32 +118,45 @@ func (c *Comm) routeConn(conn *simnet.Conn, rt *connRouter) {
 // markers ride outside the credit window (they carry no payload and
 // each stream has exactly one), so the depth gauge excludes them and
 // the flow-control invariant is exact: depth ≤ window when the window
-// is on; O(stream) when off.
+// is on; O(stream) when off — also when a reused tag's queue still holds
+// the previous operation's End ahead of the next one's chunks. The Send
+// happens under rt.mu so that dropTag's emptiness check cannot
+// interleave with it.
 func (rt *connRouter) enqueue(f coll.Frame) {
 	rt.mu.Lock()
 	q := rt.tagQLocked(f.H.Tag)
-	if rt.qBytes == nil {
-		rt.qBytes = make(map[uint32]uint64)
+	if rt.load == nil {
+		rt.load = make(map[uint32]queueLoad)
 	}
-	rt.qBytes[f.H.Tag] += uint64(len(f.Body))
-	depth := uint64(q.Len() + 1)
-	bytes := rt.qBytes[f.H.Tag]
+	l := rt.load[f.H.Tag].add(f, 1)
+	rt.load[f.H.Tag] = l
+	q.Send(f)
 	rt.mu.Unlock()
 	if !f.End {
-		rt.c.collDepthMax.SetMax(depth)
+		rt.c.collDepthMax.SetMax(uint64(l.chunks))
 	}
-	rt.c.collBytesMax.SetMax(bytes)
-	q.Send(f)
+	rt.c.collBytesMax.SetMax(uint64(l.bytes))
 }
 
 // dequeued tells the router one frame left its tag queue (consumed by
-// recvTagged), keeping the queued-bytes accounting honest.
+// recvTagged), keeping the queue-load accounting honest.
 func (rt *connRouter) dequeued(f coll.Frame) {
 	rt.mu.Lock()
-	if n := rt.qBytes[f.H.Tag]; n >= uint64(len(f.Body)) {
-		rt.qBytes[f.H.Tag] = n - uint64(len(f.Body))
-	}
+	rt.load[f.H.Tag] = rt.load[f.H.Tag].add(f, -1)
 	rt.mu.Unlock()
+}
+
+// queueLoad is what one tag queue holds: data chunks (End markers
+// excluded) and body bytes.
+type queueLoad struct{ chunks, bytes int }
+
+// add accounts one frame entering (n = 1) or leaving (n = -1) the queue.
+func (l queueLoad) add(f coll.Frame, n int) queueLoad {
+	if !f.End {
+		l.chunks += n
+	}
+	l.bytes += n * len(f.Body)
+	return l
 }
 
 // tagQ returns (creating on demand) the queue of one tagged stream. On
@@ -171,16 +184,23 @@ func (rt *connRouter) tagQLocked(tag uint32) *vtime.Chan[coll.Frame] {
 }
 
 // dropTag retires a completed stream's queue so tag state does not
-// accumulate across collectives.
+// accumulate across collectives — but only an empty one: a fast peer may
+// already have queued the next operation's first chunk under the same
+// tag, and that chunk must stay in line for it.
 func (rt *connRouter) dropTag(tag uint32) {
 	rt.mu.Lock()
-	delete(rt.tags, tag)
-	delete(rt.qBytes, tag)
+	if q := rt.tags[tag]; q != nil && q.Len() == 0 {
+		delete(rt.tags, tag)
+		delete(rt.load, tag)
+	}
 	rt.mu.Unlock()
 }
 
 // gate returns (creating on demand, preloaded with window tokens) the
-// send-side credit gate of one tagged stream on this link.
+// send-side credit gate of one tagged stream on this link. A gate whose
+// previous stream ended with credits still in flight is reused by the
+// next operation on the same tag, so those late credits refill the one
+// window instead of widening a fresh one.
 func (rt *connRouter) gate(tag uint32, window int) *creditGate {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -195,26 +215,35 @@ func (rt *connRouter) gate(tag uint32, window int) *creditGate {
 		}
 		rt.gates[tag] = g
 	}
+	g.ended = false
 	return g
 }
 
-// dropGate retires a stream's credit gate once its End frame is on the
-// wire; credits still in flight for it are dropped on arrival.
-func (rt *connRouter) dropGate(tag uint32) {
+// endGate marks a stream's End frame as on the wire and retires its
+// credit gate once every credit is back; until then credits still in
+// flight land in it (see credit).
+func (rt *connRouter) endGate(tag uint32) {
 	rt.mu.Lock()
-	delete(rt.gates, tag)
+	if g := rt.gates[tag]; g != nil {
+		g.ended = true
+		if g.full() {
+			delete(rt.gates, tag)
+		}
+	}
 	rt.mu.Unlock()
 }
 
-// credit applies n returned credits to the tag's gate, dropping credits
-// for already-retired streams.
+// credit applies n returned credits to the tag's gate, retiring a gate
+// whose stream has ended once its last credit is back.
 func (rt *connRouter) credit(tag uint32, n uint32) {
 	rt.mu.Lock()
-	g := rt.gates[tag]
-	rt.mu.Unlock()
-	if g != nil {
+	if g := rt.gates[tag]; g != nil {
 		g.credit(int(n))
+		if g.ended && g.full() {
+			delete(rt.gates, tag)
+		}
 	}
+	rt.mu.Unlock()
 }
 
 // fail severs the router: the link died (or delivered garbage), so
@@ -228,16 +257,15 @@ func (rt *connRouter) fail(err error) {
 	}
 	rt.closed = true
 	rt.err = err
-	tags := rt.tags
-	gates := rt.gates
-	rt.mu.Unlock()
-	rt.base.Close()
-	for _, q := range tags {
+	// Under mu: consumers retiring their tags write these maps.
+	for _, q := range rt.tags {
 		q.Close()
 	}
-	for _, g := range gates {
+	for _, g := range rt.gates {
 		g.sever()
 	}
+	rt.mu.Unlock()
+	rt.base.Close()
 }
 
 // takeErr reports why the router severed (ErrSevered-wrapped for a
@@ -258,10 +286,12 @@ func (rt *connRouter) takeErr() error {
 // means flow control is off (the unbounded ablation baseline).
 type creditGate struct {
 	tokens *vtime.Chan[struct{}]
+	window int
+	ended  bool // the last stream's End is on the wire (guarded by connRouter.mu)
 }
 
 func newCreditGate(sim *vtime.Sim, window int) *creditGate {
-	g := &creditGate{}
+	g := &creditGate{window: window}
 	if window > 0 {
 		g.tokens = vtime.NewChan[struct{}](sim)
 		for i := 0; i < window; i++ {
@@ -292,6 +322,9 @@ func (g *creditGate) credit(n int) {
 		g.tokens.Send(struct{}{})
 	}
 }
+
+// full reports whether every credit of the window is back.
+func (g *creditGate) full() bool { return g.tokens == nil || g.tokens.Len() == g.window }
 
 // sever wakes any sender blocked in acquire.
 func (g *creditGate) sever() {

@@ -322,21 +322,17 @@ func (s *Seed) Wait() error {
 // returned Seed delivers the frames locally; the caller must drain it to
 // the End frame and then Wait before using the communicator.
 //
-// On a bootstrap error the seed stream is aborted (Next and Wait report
-// it); on a mid-stream link failure — a child's node dying while chunks
-// are in flight — the affected forwarder records the error for Wait while
-// bootstrap itself surfaces the broken tree.
-func BootstrapSeed(p *cluster.Proc, cfg Config, src SeedSource) (*Comm, *Seed, error) {
-	return BootstrapSeedRouted(p, cfg, src, nil)
-}
-
-// BootstrapSeedRouted is BootstrapSeed with optional rank-slice routing:
-// with a non-nil router the locally delivered stream carries only this
+// With a non-nil router the locally delivered stream carries only this
 // daemon's slice of the RPDTAB (plus the FEData preamble), and children
 // receive freshly packed streams covering exactly their subtrees. With a
 // nil router every frame is relayed verbatim everywhere (full-table
 // mode, the ablation baseline).
-func BootstrapSeedRouted(p *cluster.Proc, cfg Config, src SeedSource, rt *SeedRouter) (*Comm, *Seed, error) {
+//
+// On a bootstrap error the seed stream is aborted (Next and Wait report
+// it); on a mid-stream link failure — a child's node dying while chunks
+// are in flight — the affected forwarder records the error for Wait while
+// bootstrap itself surfaces the broken tree.
+func BootstrapSeed(p *cluster.Proc, cfg Config, src SeedSource, rt *SeedRouter) (*Comm, *Seed, error) {
 	cfg = cfg.withDefaults()
 	if (cfg.Rank == 0) != (src != nil) {
 		return nil, nil, fmt.Errorf("%w: seed source must be set at rank 0 only (rank %d)", ErrBootstrap, cfg.Rank)
@@ -355,7 +351,7 @@ func BootstrapSeedRouted(p *cluster.Proc, cfg Config, src SeedSource, rt *SeedRo
 // forms: the local delivery channel, the per-child outboxes with their
 // forwarder callbacks, and the bootstrap hooks that arm them as links
 // appear. Construction lives in its own function — not inline in
-// BootstrapSeedRouted — so the frame holding the engine, splitter, metric
+// BootstrapSeed — so the frame holding the engine, splitter, metric
 // handles, and closure records pops before bootstrap's dial/accept
 // machinery runs below it; the daemon's parked stack keeps only the thin
 // caller chain (see bootstrap's stack note).

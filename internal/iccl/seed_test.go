@@ -59,7 +59,7 @@ func seedRig(t *testing.T, n, fanout int, bodies [][]byte, fn func(c *Comm, got 
 				}
 				c, seed, err := BootstrapSeed(p, Config{
 					Rank: i, Size: n, Fanout: fanout, Nodelist: nodelist, Port: 50002,
-				}, src)
+				}, src, nil)
 				if err != nil {
 					errs[i] = err
 					return
@@ -136,12 +136,12 @@ func TestSeedSourceOnlyAtRoot(t *testing.T) {
 		cl.Node(0).SpawnProc(cluster.Spec{Exe: "d", Main: func(p *cluster.Proc) {
 			if _, _, err := BootstrapSeed(p, Config{
 				Rank: 0, Size: 1, Nodelist: []string{cl.Node(0).Name()}, Port: 50003,
-			}, nil); err == nil {
+			}, nil, nil); err == nil {
 				t.Error("rank 0 without a seed source accepted")
 			}
 			if _, _, err := BootstrapSeed(p, Config{
 				Rank: 1, Size: 2, Nodelist: []string{cl.Node(0).Name(), "x"}, Port: 50003,
-			}, func() (coll.Frame, error) { return coll.Frame{}, nil }); err == nil {
+			}, func() (coll.Frame, error) { return coll.Frame{}, nil }, nil); err == nil {
 				t.Error("rank 1 with a seed source accepted")
 			}
 		}})

@@ -9,7 +9,9 @@
 // BENCH_<name>.json in the working directory (machine-readable results
 // for CI and regression tracking). -smoke runs a fast reduced-scale
 // subset that exercises the bench rig end to end. -maxk caps the daemon
-// counts of the -failure/-collective/-contention/-launch/-mw sweeps. CI
+// counts of the -failure/-collective/-contention/-launch/-mw sweeps, and
+// lowers the one-point -million sweep to K=N (so `-million -maxk 65536`
+// fits a host well below the 16 GB the full K=2^20 point needs). CI
 // runs -launch, -mw and -contention with -maxk 16384 (rank-sliced
 // retention is the default, so only the TableFull ablation row holds
 // full tables) and the full K=2^20 -million sweep.
@@ -65,7 +67,7 @@ func main() {
 	mwpipe := flag.Bool("mw", false, "run the middleware launch-pipeline ablation (store-and-forward vs cut-through MW seed, K up to 16384)")
 	obsRider := flag.Bool("obs", false, "with -launch/-smoke, add the observability rider (obs-on second pass + invariant checks)")
 	tracePath := flag.String("trace", "", "run one obs-on launch at K=1024 (capped by -maxk) and write its Perfetto trace JSON to this file (+ .metrics.json)")
-	maxk := flag.Int("maxk", 0, "cap the daemon counts of the failure/collective/contention/launch/mw sweeps (0 = full scale)")
+	maxk := flag.Int("maxk", 0, "cap the daemon counts of the failure/collective/contention/launch/mw sweeps, and lower the -million sweep to this one point (0 = full scale)")
 	smoke := flag.Bool("smoke", false, "run a fast reduced-scale subset (CI)")
 	all := flag.Bool("all", false, "run every experiment")
 	flag.BoolVar(&writeJSON, "json", false, "also write results as BENCH_<name>.json")

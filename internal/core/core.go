@@ -68,11 +68,6 @@ const (
 	EnvHealthPeriod = "LMON_HEALTH_PERIOD"
 	// EnvHealthMiss is the missed-heartbeat threshold.
 	EnvHealthMiss = "LMON_HEALTH_MISS"
-	// EnvHealthLinks selects the heartbeat transport: "iccl" (the default)
-	// piggybacks heartbeats on the established ICCL tree links, "dial"
-	// builds the dedicated dialed heartbeat tree (the pre-link-reuse
-	// baseline, Options.Health.Dial).
-	EnvHealthLinks = "LMON_HEALTH_LINKS"
 	// EnvTableMode selects per-daemon RPDTAB retention under the
 	// cut-through seed: "sliced" keeps only the local rank slice plus the
 	// session-shared host/rank index, "full" (and any unset value, so
@@ -122,19 +117,6 @@ const icclBasePort = 51000
 
 func icclPortFor(session int, mw bool) int {
 	p := icclBasePort + session*2
-	if mw {
-		p++
-	}
-	return p
-}
-
-// healthBasePort is the first port used for per-session heartbeat trees
-// (internal/health); kept clear of the ICCL port range. Each session uses
-// two ports, mirroring the ICCL banding (BE tree, MW tree).
-const healthBasePort = 58000
-
-func healthPortFor(session int, mw bool) int {
-	p := healthBasePort + session*2
 	if mw {
 		p++
 	}

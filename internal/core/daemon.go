@@ -451,11 +451,9 @@ func (d *daemonSession) peakTableBytes() int {
 
 // startHealth joins the daemon into its fabric's heartbeat tree when the
 // FE planted a heartbeat period in the environment (Options.Health for
-// the BE fabric, MWOptions.Health for the MW fabric). By default the
-// heartbeats piggyback on the established ICCL tree links (ShareLinks +
-// health.StartOnLinks) — no extra connections; HealthOptions.Dial
-// ("dial" in EnvHealthLinks) selects the dedicated dialed tree over the
-// fabric's own port band, kept as the pre-link-reuse baseline.
+// the BE fabric, MWOptions.Health for the MW fabric). The heartbeats
+// ride the established ICCL tree links (ShareLinks + health.StartOnLinks)
+// — no extra connections.
 func (d *daemonSession) startHealth(cfg *iccl.Config) error {
 	periodStr := d.p.Env(EnvHealthPeriod)
 	if periodStr == "" {
@@ -471,27 +469,11 @@ func (d *daemonSession) startHealth(cfg *iccl.Config) error {
 			return fmt.Errorf("core: bad %s: %w", EnvHealthMiss, err)
 		}
 	}
-	session, err := strconv.Atoi(d.p.Env(EnvSession))
-	if err != nil {
-		return fmt.Errorf("core: bad %s: %w", EnvSession, err)
-	}
-	var mon *health.Monitor
-	switch mode := d.p.Env(EnvHealthLinks); mode {
-	case "", "iccl":
-		parent, children := d.comm.ShareLinks()
-		mon, err = health.StartOnLinks(d.p, health.Config{
-			Rank: cfg.Rank, Size: cfg.Size, Fanout: cfg.Fanout,
-			Period: period, Miss: miss, Metrics: d.obsReg,
-		}, parent, children)
-	case "dial":
-		mon, err = health.Start(d.p, health.Config{
-			Rank: cfg.Rank, Size: cfg.Size, Fanout: cfg.Fanout,
-			Nodelist: cfg.Nodelist, Port: healthPortFor(session, d.fab.mw),
-			Period: period, Miss: miss, Metrics: d.obsReg,
-		})
-	default:
-		return fmt.Errorf("core: bad %s %q", EnvHealthLinks, mode)
-	}
+	parent, children := d.comm.ShareLinks()
+	mon, err := health.StartOnLinks(d.p, health.Config{
+		Rank: cfg.Rank, Size: cfg.Size, Fanout: cfg.Fanout,
+		Period: period, Miss: miss, Metrics: d.obsReg,
+	}, parent, children)
 	if err != nil {
 		return err
 	}

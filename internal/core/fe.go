@@ -97,21 +97,15 @@ type Options struct {
 }
 
 // HealthOptions parameterize per-session failure detection: the back-end
-// daemons run heartbeats over a tree mirroring the ICCL topology, and
-// daemon/node loss is reported to the front end as DaemonExited status
-// events within roughly Period x Miss.
+// daemons run heartbeats over their ICCL tree links, and daemon/node loss
+// is reported to the front end as DaemonExited status events within
+// roughly Period x Miss.
 type HealthOptions struct {
 	// Period between daemon heartbeats; 0 disables the subsystem.
 	Period time.Duration
 	// Miss is how many consecutive periods a daemon may miss before it is
 	// declared dead (default 3).
 	Miss int
-	// Dial forces the heartbeat tree onto dedicated dialed connections
-	// (the pre-link-reuse baseline). The default false piggybacks
-	// heartbeats on the established ICCL tree links (iccl.Comm.ShareLinks
-	// + health.StartOnLinks), halving the session's per-daemon connection
-	// count.
-	Dial bool
 }
 
 const defaultSessionTimeout = 10 * time.Minute
@@ -350,7 +344,6 @@ func startSession(fe *FrontEnd, opts Options, attach bool) (*Session, error) {
 	if opts.Health.Period > 0 {
 		env[EnvHealthPeriod] = opts.Health.Period.String()
 		env[EnvHealthMiss] = fmt.Sprint(opts.Health.Miss)
-		env[EnvHealthLinks] = healthLinksEnv(opts.Health)
 	}
 	daemon.Env = env
 
@@ -808,15 +801,6 @@ func encodeReady(infos []DaemonInfo, tl engine.Timeline, obsBlob []byte) []byte 
 		return b
 	}
 	return lmonp.AppendBytes(b, obsBlob)
-}
-
-// healthLinksEnv renders the heartbeat-transport knob for the daemon
-// bootstrap environment.
-func healthLinksEnv(h HealthOptions) string {
-	if h.Dial {
-		return "dial"
-	}
-	return "iccl"
 }
 
 // splitNodeList parses the RM-provided node list: a hostlist-compressed

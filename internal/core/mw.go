@@ -83,7 +83,6 @@ func (s *Session) LaunchMW(opts MWOptions) ([]string, error) {
 	if opts.Health.Period > 0 {
 		env[EnvHealthPeriod] = opts.Health.Period.String()
 		env[EnvHealthMiss] = fmt.Sprint(opts.Health.Miss)
-		env[EnvHealthLinks] = healthLinksEnv(opts.Health)
 	}
 	daemon.Env = env
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"launchmon/internal/lmonp"
 )
 
@@ -69,6 +71,10 @@ func decodeDaemonInfos(b []byte) ([]DaemonInfo, error) {
 	n, err := rd.Uint32()
 	if err != nil {
 		return nil, err
+	}
+	// Each info needs at least its 4-byte length prefix.
+	if uint64(n)*4 > uint64(rd.Remaining()) {
+		return nil, fmt.Errorf("%w: %d daemon infos, %d bytes remain", lmonp.ErrTruncated, n, rd.Remaining())
 	}
 	out := make([]DaemonInfo, 0, n)
 	for i := uint32(0); i < n; i++ {

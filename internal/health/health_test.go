@@ -1,17 +1,33 @@
 package health
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"launchmon/internal/cluster"
+	"launchmon/internal/iccl"
+	"launchmon/internal/lmonp"
 	"launchmon/internal/vtime"
 )
 
+// healthNet is a running heartbeat rig: mons[r] is rank r's monitor once
+// it started, rootCh yields the root's.
+type healthNet struct {
+	sim    *vtime.Sim
+	cl     *cluster.Cluster
+	rootCh *vtime.Chan[*Monitor]
+	mons   []*Monitor
+	stop   func()
+}
+
 // healthRig boots n "daemon" processes (one per compute node) that each
-// join a heartbeat tree, and returns the root's monitor through rootCh.
-func healthRig(t *testing.T, n, fanout int, period time.Duration, miss int) (*vtime.Sim, *cluster.Cluster, *vtime.Chan[*Monitor]) {
+// join an ICCL tree, share its links and start a monitor on them. stop
+// halts every monitor and releases the daemons so the simulation can
+// quiesce (monitors do not cascade a stop down the shared links).
+func healthRig(t *testing.T, n, fanout int, period time.Duration, miss int) *healthNet {
 	t.Helper()
 	sim := vtime.New()
 	cl, err := cluster.New(sim, cluster.Options{Nodes: n})
@@ -23,41 +39,61 @@ func healthRig(t *testing.T, n, fanout int, period time.Duration, miss int) (*vt
 		nodelist[i] = cl.Node(i).Name()
 	}
 	rootCh := vtime.NewChan[*Monitor](sim)
+	release := vtime.NewChan[int](sim)
+	mons := make([]*Monitor, n)
 	for i := 0; i < n; i++ {
 		i := i
 		if _, err := cl.Node(i).SpawnSystemProc(cluster.Spec{
 			Exe: fmt.Sprintf("hd%d", i),
 			Main: func(p *cluster.Proc) {
-				m, err := Start(p, Config{
-					Rank: i, Size: n, Fanout: fanout, Nodelist: nodelist,
-					Port: 59000, Period: period, Miss: miss,
+				c, err := iccl.Bootstrap(p, iccl.Config{
+					Rank: i, Size: n, Fanout: fanout, Nodelist: nodelist, Port: 59000,
 				})
 				if err != nil {
 					t.Errorf("rank %d: %v", i, err)
 					return
 				}
+				defer c.Close()
+				parent, children := c.ShareLinks()
+				m, err := StartOnLinks(p, Config{
+					Rank: i, Size: n, Fanout: fanout, Period: period, Miss: miss,
+				}, parent, children)
+				if err != nil {
+					t.Errorf("rank %d: %v", i, err)
+					return
+				}
+				mons[i] = m
 				if i == 0 {
 					rootCh.Send(m)
 				}
 				// Daemons park here; their monitors do the work. Node death
-				// or root teardown ends them.
-				vtime.NewChan[int](p.Sim()).Recv()
+				// or the rig's stop ends them.
+				release.Recv()
 			},
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return sim, cl, rootCh
+	stop := func() {
+		for _, m := range mons {
+			if m != nil {
+				m.Stop()
+			}
+		}
+		release.Close()
+	}
+	return &healthNet{sim: sim, cl: cl, rootCh: rootCh, mons: mons, stop: stop}
 }
 
 func TestSeveredNodeDetectedFast(t *testing.T) {
 	const n = 8
 	period := 200 * time.Millisecond
-	sim, cl, rootCh := healthRig(t, n, 0, period, 3)
+	hn := healthRig(t, n, 0, period, 3)
+	sim, cl := hn.sim, hn.cl
 	var report Report
 	var latency time.Duration
 	sim.Go("driver", func() {
-		root, ok := rootCh.Recv()
+		root, ok := hn.rootCh.Recv()
 		if !ok {
 			t.Error("no root monitor")
 			return
@@ -71,7 +107,7 @@ func TestSeveredNodeDetectedFast(t *testing.T) {
 			return
 		}
 		report, latency = r, sim.Now()-killAt
-		root.Stop()
+		hn.stop()
 	})
 	sim.Run()
 	if report.Rank != 5 {
@@ -90,11 +126,12 @@ func TestSilentLinkDropDetectedWithinDeadline(t *testing.T) {
 	const n = 4
 	period := 100 * time.Millisecond
 	const miss = 3
-	sim, cl, rootCh := healthRig(t, n, 0, period, miss)
+	hn := healthRig(t, n, 0, period, miss)
+	sim, cl := hn.sim, hn.cl
 	var report Report
 	var latency time.Duration
 	sim.Go("driver", func() {
-		root, ok := rootCh.Recv()
+		root, ok := hn.rootCh.Recv()
 		if !ok {
 			t.Error("no root monitor")
 			return
@@ -109,7 +146,7 @@ func TestSilentLinkDropDetectedWithinDeadline(t *testing.T) {
 			return
 		}
 		report, latency = r, sim.Now()-dropAt
-		root.Stop()
+		hn.stop()
 	})
 	sim.Run()
 	if report.Rank != 2 {
@@ -130,10 +167,11 @@ func TestSilentLinkDropDetectedWithinDeadline(t *testing.T) {
 func TestInteriorDeathReportsSubtreeUnreachable(t *testing.T) {
 	// Fanout 2 over 7 ranks: rank 1's subtree is {1, 3, 4}.
 	const n = 7
-	sim, cl, rootCh := healthRig(t, n, 2, 100*time.Millisecond, 3)
+	hn := healthRig(t, n, 2, 100*time.Millisecond, 3)
+	sim, cl := hn.sim, hn.cl
 	got := map[int]string{}
 	sim.Go("driver", func() {
-		root, ok := rootCh.Recv()
+		root, ok := hn.rootCh.Recv()
 		if !ok {
 			t.Error("no root monitor")
 			return
@@ -148,7 +186,7 @@ func TestInteriorDeathReportsSubtreeUnreachable(t *testing.T) {
 			}
 			got[r.Rank] = r.Detail
 		}
-		root.Stop()
+		hn.stop()
 	})
 	sim.Run()
 	if got[1] != "connection severed" {
@@ -161,24 +199,43 @@ func TestInteriorDeathReportsSubtreeUnreachable(t *testing.T) {
 	}
 }
 
-func TestRootStopCascades(t *testing.T) {
-	// After the root stops, every monitor winds down and the simulation
-	// quiesces — the absence of a hang IS the assertion (beat loops left
-	// running would keep virtual time advancing forever).
-	const n = 6
-	sim, _, rootCh := healthRig(t, n, 2, 100*time.Millisecond, 3)
-	sim.Go("driver", func() {
-		root, ok := rootCh.Recv()
-		if !ok {
+func TestParentLinkDeathStopsMonitor(t *testing.T) {
+	// Fanout 2 over 7 ranks: ranks 3 and 4 sit under rank 1. When rank 1's
+	// node dies their shared parent links sever, and their monitors must
+	// stop beating into the dead link — while the rest of the tree keeps
+	// running.
+	const n = 7
+	hn := healthRig(t, n, 2, 100*time.Millisecond, 3)
+	var orphans, alive []bool
+	hn.sim.Go("driver", func() {
+		if _, ok := hn.rootCh.Recv(); !ok {
 			t.Error("no root monitor")
 			return
 		}
-		sim.Sleep(500 * time.Millisecond)
-		root.Stop()
+		hn.sim.Sleep(1 * time.Second)
+		hn.cl.KillNode(1)
+		hn.sim.Sleep(1 * time.Second)
+		for _, r := range []int{3, 4} {
+			orphans = append(orphans, hn.mons[r].halted())
+		}
+		for _, r := range []int{0, 2, 5, 6} {
+			alive = append(alive, !hn.mons[r].halted())
+		}
+		hn.stop()
 	})
-	end := sim.Run()
+	end := hn.sim.Run()
+	for i, stopped := range orphans {
+		if !stopped {
+			t.Errorf("orphan %d's monitor still running after its parent link died", i)
+		}
+	}
+	for i, ok := range alive {
+		if !ok {
+			t.Errorf("surviving monitor %d stopped", i)
+		}
+	}
 	if end > time.Hour {
-		t.Errorf("simulation ran to %v; teardown did not cascade", end)
+		t.Errorf("simulation ran to %v; monitors did not wind down", end)
 	}
 }
 
@@ -200,4 +257,35 @@ func TestEventCodecRoundTrip(t *testing.T) {
 	if _, err := DecodeEvent([]byte{1, 2}); err == nil {
 		t.Error("truncated event decoded")
 	}
+}
+
+func TestDecodeReportsRejectsImpossibleCount(t *testing.T) {
+	// A forged count must fail on the remaining-bytes guard before it
+	// sizes a slice: 0x7fffffff reports would ask for ~50 GB.
+	for _, b := range [][]byte{
+		{0x7f, 0xff, 0xff, 0xff},
+		append(lmonp.AppendUint32(nil, 2), make([]byte, 15)...), // 2 reports need ≥ 16 bytes
+	} {
+		if _, err := decodeReports(lmonp.NewReader(b)); !errors.Is(err, lmonp.ErrTruncated) {
+			t.Errorf("decodeReports(% x): got %v, want ErrTruncated", b, err)
+		}
+	}
+}
+
+// FuzzDecodeReports drives the failure-report decoder with arbitrary
+// payloads: it must never panic or over-allocate, and whatever it accepts
+// re-encodes to exactly the bytes it consumed.
+func FuzzDecodeReports(f *testing.F) {
+	f.Add(encodeReports(nil, []Report{{Rank: 3, Detail: "connection severed"}, {Rank: 7, Detail: "unreachable"}}))
+	f.Add(encodeReports(nil, nil))
+	f.Add([]byte{0x7f, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		reports, err := decodeReports(lmonp.NewReader(b))
+		if err != nil {
+			return
+		}
+		if enc := encodeReports(nil, reports); !bytes.HasPrefix(b, enc) {
+			t.Fatalf("decoded %d reports re-encode to % x, input % x", len(reports), enc, b)
+		}
+	})
 }

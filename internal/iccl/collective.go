@@ -32,7 +32,7 @@ import (
 //     would serialize the FE against the slowest subtree for no bound
 //     it doesn't already have.
 //
-//   - Tagged streams: the per-connection router (router.go) demuxes
+//   - Tagged streams: the per-connection framer (router.go) demuxes
 //     frames by tag, so independent tagged collectives — each driven by
 //     its own goroutine — multiplex one session tree concurrently. The
 //     legacy untagged API keeps the lockstep SPMD discipline on a
@@ -117,12 +117,12 @@ func (pl *Plane) nextTreeTag() uint32 {
 }
 
 // beginTagged validates an explicitly allocated stream tag and starts
-// the link routers — the entry of every *Tag operation.
+// the link framers — the entry of every *Tag operation.
 func (pl *Plane) beginTagged(tag uint32) error {
 	if err := coll.CheckUserTag(tag); err != nil {
 		return fmt.Errorf("%w: %v", ErrProtocol, err)
 	}
-	pl.c.startRouter()
+	pl.c.own()
 	return nil
 }
 
@@ -156,8 +156,8 @@ func writeFrameOp(conn *simnet.Conn, chunkOp, endOp uint32, f coll.Frame) (int, 
 
 // readFrameOp reads one frame written by writeFrameOp directly off the
 // conn, charging the per-message handling cost. It is only safe before
-// ShareLinks (the seed stream flows during bootstrap, well before links
-// are shared); afterwards reads must go through Comm.recvRaw.
+// the link framers own the links (the seed stream flows during
+// bootstrap, well before); afterwards reads go through the framers.
 func readFrameOp(p *cluster.Proc, cost time.Duration, conn *simnet.Conn, chunkOp, endOp uint32) (coll.Frame, error) {
 	raw, err := lmonp.ReadFrame(conn)
 	if err != nil {
@@ -210,9 +210,9 @@ func parseFrameOp(raw []byte, chunkOp, endOp uint32) (coll.Frame, error) {
 // window credit per chunk (End markers ride outside the window and
 // retire the stream's gate).
 func (pl *Plane) sendFrame(conn *simnet.Conn, f coll.Frame) error {
-	rt := pl.c.routerFor(conn)
-	if rt != nil && pl.window > 0 && !f.End {
-		if err := rt.gate(f.H.Tag, pl.window).acquire(); err != nil {
+	l := pl.c.linkFor(conn)
+	if l != nil && pl.window > 0 && !f.End {
+		if err := l.gate(f.H.Tag, pl.window).acquire(); err != nil {
 			return err
 		}
 	}
@@ -224,8 +224,8 @@ func (pl *Plane) sendFrame(conn *simnet.Conn, f coll.Frame) error {
 	pl.c.txBytes.Add(uint64(n))
 	pl.c.collTxFrames.Inc()
 	pl.c.collTxBytes.Add(uint64(n))
-	if rt != nil && f.End {
-		rt.endGate(f.H.Tag)
+	if l != nil && f.End {
+		l.endGate(f.H.Tag)
 	}
 	return nil
 }
@@ -235,15 +235,15 @@ func (pl *Plane) sendFrame(conn *simnet.Conn, f coll.Frame) error {
 // (so the sender's window tracks this node's consumption, not its
 // arrivals) and retiring the tag queue at the stream's end.
 func (pl *Plane) recvTagged(conn *simnet.Conn, tag uint32) (coll.Frame, error) {
-	rt := pl.c.routerFor(conn)
-	q := rt.tagQ(tag)
+	l := pl.c.linkFor(conn)
+	q := l.tagQ(tag)
 	f, ok := q.Recv()
 	if !ok {
-		return coll.Frame{}, rt.takeErr()
+		return coll.Frame{}, l.takeErr()
 	}
-	rt.dequeued(f)
+	l.dequeued(f)
 	if f.End {
-		rt.dropTag(tag)
+		l.dropTag(tag)
 	} else if pl.window > 0 {
 		if err := pl.c.sendCredit(conn, tag, 1); err != nil {
 			return coll.Frame{}, err
@@ -288,7 +288,7 @@ func (pl *Plane) checkStream(f coll.Frame, op coll.Op, tag uint32) error {
 // Broadcast receives one FE-originated broadcast, forwarding every chunk
 // to the children as it arrives, and returns the reassembled payload.
 func (pl *Plane) Broadcast() ([]byte, error) {
-	pl.c.startRouter()
+	pl.c.own()
 	return pl.broadcast(pl.nextTag())
 }
 
@@ -346,7 +346,7 @@ func (pl *Plane) childSlot(r int) int {
 // child subtree and stream them onward in bounded-size chunks
 // (coll.Packer — the shared coalescing implementation).
 func (pl *Plane) Scatter() ([]byte, error) {
-	pl.c.startRouter()
+	pl.c.own()
 	return pl.scatter(pl.nextTag())
 }
 
@@ -425,7 +425,7 @@ func (pl *Plane) scatter(tag uint32) ([]byte, error) {
 // by the subtree's daemon count, and no link ever carries a monolithic
 // K-entry payload.
 func (pl *Plane) Gather(mine []byte) error {
-	pl.c.startRouter()
+	pl.c.own()
 	return pl.gather(pl.nextTag(), mine)
 }
 
@@ -449,9 +449,9 @@ func (pl *Plane) gather(tag uint32, mine []byte) error {
 }
 
 // gatherChildren drains each child subtree's entry stream in slot
-// order, validating per-link sequencing and the entry sub-count, and
-// feeds every entry to sink — the shared up-phase of Gather and
-// AllGather.
+// order, validating per-link sequencing, entry ranks and the entry
+// sub-count, and feeds every entry to sink — the shared up-phase of
+// Gather and AllGather.
 func (pl *Plane) gatherChildren(op coll.Op, tag uint32, sink func(coll.Entry) error) error {
 	for slot, conn := range pl.c.children {
 		var in coll.SeqCheck
@@ -480,6 +480,10 @@ func (pl *Plane) gatherChildren(op coll.Op, tag uint32, sink func(coll.Entry) er
 			}
 			sub += uint64(len(entries))
 			for _, e := range entries {
+				if e.Rank < 0 || e.Rank >= pl.c.size {
+					return fmt.Errorf("%w: child %d forwarded a %v entry for rank %d of %d",
+						ErrProtocol, pl.c.childRk[slot], op, e.Rank, pl.c.size)
+				}
 				if err := sink(e); err != nil {
 					return err
 				}
@@ -495,7 +499,7 @@ func (pl *Plane) gatherChildren(op coll.Op, tag uint32, sink func(coll.Entry) er
 // per-link bytes are bounded by the combined result, not the subtree
 // size.
 func (pl *Plane) Reduce(mine []byte, filter string) error {
-	pl.c.startRouter()
+	pl.c.own()
 	return pl.reduce(pl.nextTag(), mine, filter)
 }
 
@@ -571,7 +575,7 @@ func (pl *Plane) combineChildren(op coll.Op, tag uint32, mine []byte, filter str
 // involved — the root turns the barrier around. Barrier participates in
 // the tree-lockstep sequence shared with AllGather/AllReduce.
 func (pl *Plane) Barrier() error {
-	pl.c.startRouter()
+	pl.c.own()
 	return pl.barrier(pl.nextTreeTag())
 }
 
@@ -628,7 +632,7 @@ func (pl *Plane) checkBarrierFrame(f coll.Frame, tag uint32) error {
 // indexed by rank: a gather up-phase into the root, then the assembled
 // rank table redistributed down the tree in bounded chunks.
 func (pl *Plane) AllGather(mine []byte) ([][]byte, error) {
-	pl.c.startRouter()
+	pl.c.own()
 	return pl.allGather(pl.nextTreeTag(), mine)
 }
 
@@ -727,7 +731,7 @@ func (pl *Plane) allGather(tag uint32, mine []byte) ([][]byte, error) {
 // folds into the root, whose final accumulator is redistributed down
 // the tree (down-phase reuse of the up-phase combine).
 func (pl *Plane) AllReduce(mine []byte, filter string) ([]byte, error) {
-	pl.c.startRouter()
+	pl.c.own()
 	return pl.allReduce(pl.nextTreeTag(), mine, filter)
 }
 

@@ -181,7 +181,7 @@ func TestPlaneTreeOpsInterleaveLockstepFEOps(t *testing.T) {
 
 func TestPlaneConcurrentTaggedCollectives(t *testing.T) {
 	// Four independent tagged collectives per daemon, each driven by its
-	// own goroutine on one shared session tree: the per-connection router
+	// own goroutine on one shared session tree: the per-connection framer
 	// must keep the streams apart.
 	const n, fanout = 13, 3
 	rig(t, n, fanout, func(c *Comm, p *cluster.Proc) error {
@@ -234,6 +234,30 @@ func TestPlaneConcurrentTaggedCollectives(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+func TestPlaneAllGatherRejectsOutOfRangeRank(t *testing.T) {
+	// A child whose allgather stream carries an entry for a rank outside
+	// [0, Size) must fail the root with ErrProtocol instead of standing in
+	// for the missing real rank.
+	const n = 2
+	var rootErr error
+	rig(t, n, 2, func(c *Comm, p *cluster.Proc) error {
+		pl := c.NewPlane(0, 0, nil, nil)
+		if !c.IsMaster() {
+			pk := &coll.Packer{Op: coll.OpAllGather, Tag: pl.nextTreeTag(),
+				Emit: func(f coll.Frame) error { return pl.sendFrame(c.parent, f) }}
+			if err := pk.Add(coll.Entry{Rank: 7, Blob: []byte("forged")}); err != nil {
+				return err
+			}
+			return pk.End()
+		}
+		_, rootErr = pl.AllGather([]byte("r0"))
+		return nil
+	})
+	if !errors.Is(rootErr, ErrProtocol) {
+		t.Fatalf("allgather with a forged rank 7 at K=%d: got %v, want ErrProtocol", n, rootErr)
+	}
 }
 
 func TestPlaneUserTagRangeEnforced(t *testing.T) {

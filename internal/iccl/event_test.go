@@ -1,6 +1,7 @@
 package iccl
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -190,5 +191,55 @@ func TestBootstrapJoinDeadlineSurfacesDeadSubtree(t *testing.T) {
 		if took[i] > 2*joinTimeout {
 			t.Errorf("rank %d took %v to fail, budget %v", i, took[i], 2*joinTimeout)
 		}
+	}
+}
+
+// TestPlaneRoundSpawnsNoGoroutinePerLink pins the one-owner contract of
+// the tree links: a K=64, fanout-8 plane round — lockstep and tagged
+// Broadcast/Gather — is served by the event-driven link framers alone,
+// so the only goroutines spawned are the rig's own (the boot driver and
+// one per daemon process).
+func TestPlaneRoundSpawnsNoGoroutinePerLink(t *testing.T) {
+	const n, fanout = 64, 8
+	tag := coll.MinUserTag
+	payload := bytes.Repeat([]byte{0x5A}, 1000)
+	down := append(coll.RawFrames(coll.OpBroadcast, 1, "", payload, 256),
+		coll.RawFrames(coll.OpBroadcast, tag, "", payload, 256)...)
+	d := &feDriver{send: down}
+	sim := vtime.New()
+	var spawned []string
+	sim.SetSpawnObserver(func(name string) { spawned = append(spawned, name) })
+	rigOn(t, sim, n, fanout, func(c *Comm, p *cluster.Proc) error {
+		var pl *Plane
+		if c.IsMaster() {
+			pl = c.NewPlane(256, 0, d.up, d.down)
+		} else {
+			pl = c.NewPlane(256, 0, nil, nil)
+		}
+		mine := []byte(fmt.Sprintf("r%d", c.Rank()))
+		for _, round := range []func() error{
+			func() error { _, err := pl.Broadcast(); return err },
+			func() error { return pl.Gather(mine) },
+			func() error { _, err := pl.BroadcastTag(tag); return err },
+			func() error { return pl.GatherTag(tag, mine) },
+		} {
+			if err := round(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if d.sent != len(down) {
+		t.Fatalf("root consumed %d of %d FE frames", d.sent, len(down))
+	}
+	if len(spawned) != n+1 {
+		var extra []string
+		for _, name := range spawned {
+			if strings.HasPrefix(name, "iccl-") {
+				extra = append(extra, name)
+			}
+		}
+		t.Fatalf("%d goroutines spawned, want %d (boot + one per daemon); iccl ones: %d, e.g. %q",
+			len(spawned), n+1, len(extra), extra[:min(3, len(extra))])
 	}
 }

@@ -2,12 +2,14 @@ package iccl
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"launchmon/internal/cluster"
+	"launchmon/internal/lmonp"
 	"launchmon/internal/vtime"
 )
 
@@ -15,7 +17,12 @@ import (
 // and returns after the sim completes. Errors inside daemons fail the test.
 func rig(t *testing.T, n, fanout int, fn func(c *Comm, p *cluster.Proc) error) time.Duration {
 	t.Helper()
-	sim := vtime.New()
+	return rigOn(t, vtime.New(), n, fanout, fn)
+}
+
+// rigOn is rig on a caller-provided simulator (for spawn observers).
+func rigOn(t *testing.T, sim *vtime.Sim, n, fanout int, fn func(c *Comm, p *cluster.Proc) error) time.Duration {
+	t.Helper()
 	cl, err := cluster.New(sim, cluster.Options{Nodes: n})
 	if err != nil {
 		t.Fatal(err)
@@ -141,6 +148,27 @@ func TestGatherRankOrdered(t *testing.T) {
 		if string(blob) != fmt.Sprintf("from-%d", r) {
 			t.Fatalf("rank %d slot holds %q", r, blob)
 		}
+	}
+}
+
+func TestGatherRejectsOutOfRangeRank(t *testing.T) {
+	// A child whose gather frame names a rank outside [0, Size) must fail
+	// the parent's Gather with ErrProtocol, not index past the result.
+	const n = 2
+	var rootErr error
+	rig(t, n, 2, func(c *Comm, p *cluster.Proc) error {
+		if !c.IsMaster() {
+			frame := lmonp.AppendUint32(nil, opGather)
+			frame = lmonp.AppendUint32(frame, 1)
+			frame = lmonp.AppendUint32(frame, 7) // forged rank
+			frame = lmonp.AppendBytes(frame, []byte("forged"))
+			return c.send(c.parent, frame)
+		}
+		_, rootErr = c.Gather([]byte("r0"))
+		return nil
+	})
+	if !errors.Is(rootErr, ErrProtocol) {
+		t.Fatalf("gather with a forged rank 7 at K=%d: got %v, want ErrProtocol", n, rootErr)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"time"
 
 	"launchmon/internal/coll"
 	"launchmon/internal/lmonp"
@@ -11,23 +12,59 @@ import (
 	"launchmon/internal/vtime"
 )
 
-// This file is the per-connection demultiplexer of collective plane v2:
-// once a daemon starts using tagged (possibly concurrent) collective
-// streams, a router goroutine owns each tree connection's receive side
-// and sorts frames into per-tag queues, the base-opcode queue (barrier/
-// fold/bcast of the bootstrap-era Comm collectives), and the credit
-// gates of the flow-control window. The router starts lazily on the
-// first plane operation — never at plane creation — so the session-seed
-// stream (which flows through the same connections during bootstrap)
-// and the million-daemon noop profile (whose daemons never run a plane
-// op, and must not pay a goroutine per link) are untouched.
+// This file is the one owner of every ICCL tree connection after
+// bootstrap: an event-driven framer registered on the conn (simnet
+// Conn.Handle via lmonp.HandleFrames) that charges each arriving frame
+// the per-message cost on a busy-until horizon and sorts it into one of
+// four places — the base queue (barrier/fold/bcast/gather of the Comm
+// collectives), the heartbeat queue (health link reuse, uncharged), its
+// tag queue (collective-plane streams), or its credit gate (the
+// flow-control window). No goroutine is parked per link.
+//
+// Whichever comes first installs the framer: ShareLinks (the failure
+// detector's link reuse) or the first plane operation; installing twice
+// is a no-op. It is never installed at plane creation, so the session
+// seed (which flows through the same connections during bootstrap) and
+// the bootstrap-era direct reads — the ready gather and the launch-time
+// FoldUp — keep their blocking reads and their timing.
 
-// connRouter demultiplexes one tree connection.
-type connRouter struct {
-	c *Comm
+// horizon is the busy-until clock of an event-driven framer: it
+// reproduces the charging of a serial reader loop (read, then compute)
+// without a goroutine — frame i is delivered at
+// max(arrival_i, done_{i-1}) + cost. It is only touched from scheduler
+// callbacks, which never overlap.
+type horizon struct {
+	sim       *vtime.Sim
+	busyUntil time.Duration
+}
+
+// charge runs fn once a frame arriving now has been handled for cost,
+// behind every frame charged before it.
+func (h *horizon) charge(cost time.Duration, fn func()) {
+	now := h.sim.Now()
+	h.busyUntil = max(now, h.busyUntil) + cost
+	h.sim.After(h.busyUntil-now, fn)
+}
+
+// behind runs fn, uncharged, once every frame charged so far is
+// delivered — at once when the horizon is idle.
+func (h *horizon) behind(fn func()) {
+	now := h.sim.Now()
+	if h.busyUntil <= now {
+		fn()
+		return
+	}
+	h.sim.After(h.busyUntil-now, fn)
+}
+
+// link owns one tree connection's receive side.
+type link struct {
+	c  *Comm
+	hz horizon
 
 	mu     sync.Mutex
 	base   *vtime.Chan[[]byte]                // non-plane tree frames
+	hb     *vtime.Chan[[]byte]                // heartbeat payloads (health link reuse)
 	tags   map[uint32]*vtime.Chan[coll.Frame] // per-tag collective streams
 	load   map[uint32]queueLoad               // queued chunks and body bytes per tag
 	gates  map[uint32]*creditGate             // send-side credit per tag
@@ -35,80 +72,96 @@ type connRouter struct {
 	closed bool
 }
 
-// startRouter idempotently switches every tree connection of the
-// communicator to routed mode and spawns one router goroutine per link.
-// Every public Plane operation calls it on entry. After it runs, base
-// collective receives (Comm.Barrier, FoldUp, ...) are served from the
-// router's base queue — they must not overlap the first plane operation
-// on the same link direction, which holds for the session lifecycle
-// (init-time gathers precede plane traffic; the finalize barrier
-// follows it).
-func (c *Comm) startRouter() {
-	c.rtMu.Lock()
-	defer c.rtMu.Unlock()
-	if c.routers != nil {
+// own idempotently installs the framer on every tree connection of the
+// communicator. After it runs, base collective receives (Comm.Barrier,
+// FoldUp, ...) are served from the base queue — they must not overlap
+// its installation on the same link direction, which holds for the
+// session lifecycle (init-time gathers precede ShareLinks and plane
+// traffic; the finalize barrier follows them).
+func (c *Comm) own() {
+	c.linkMu.Lock()
+	defer c.linkMu.Unlock()
+	if c.links != nil {
 		return
 	}
-	c.routers = make(map[*simnet.Conn]*connRouter, len(c.children)+1)
-	conns := make([]*simnet.Conn, 0, len(c.children)+1)
+	c.links = make(map[*simnet.Conn]*link, len(c.children)+1)
+	conns := c.children
 	if c.parent != nil {
-		conns = append(conns, c.parent)
+		conns = append([]*simnet.Conn{c.parent}, conns...)
 	}
-	conns = append(conns, c.children...)
+	sim := c.p.Sim()
 	for _, conn := range conns {
-		rt := &connRouter{
+		l := &link{
 			c:    c,
-			base: vtime.NewChan[[]byte](c.p.Sim()),
+			hz:   horizon{sim: sim},
+			base: vtime.NewChan[[]byte](sim),
+			hb:   vtime.NewChan[[]byte](sim),
 		}
-		c.routers[conn] = rt
-		conn := conn
-		c.p.Sim().Go(fmt.Sprintf("iccl-router-%d", c.rank), func() { c.routeConn(conn, rt) })
+		c.links[conn] = l
+		lmonp.HandleFrames(conn, l.frame)
 	}
 }
 
-// routerFor returns the router owning conn, or nil when routing has not
-// started (or conn is not a tree link of this communicator).
-func (c *Comm) routerFor(conn *simnet.Conn) *connRouter {
-	c.rtMu.Lock()
-	defer c.rtMu.Unlock()
-	return c.routers[conn]
+// linkFor returns the owner of conn, or nil before own (or when conn is
+// not a tree link of this communicator).
+func (c *Comm) linkFor(conn *simnet.Conn) *link {
+	c.linkMu.Lock()
+	defer c.linkMu.Unlock()
+	return c.links[conn]
 }
 
-// routeConn is the router goroutine: it reads raw tree frames off one
-// connection and routes collective-plane frames by tag, credit frames
-// to their gates, and everything else to the base queue. It never
-// blocks on a consumer (all queues are unbounded), so one stalled
+// frame is the framer: the connection hands it every arriving frame, or
+// the error that ended the connection. Heartbeats are charged by the
+// health layer when it consumes them, at its own (cheaper) per-message
+// cost — but one queued behind a still-cooking frame waits for it, and so
+// does the failure, so in-flight deliveries are not dropped.
+func (l *link) frame(raw []byte, err error) {
+	if err != nil {
+		l.hz.behind(func() { l.fail(err) })
+		return
+	}
+	if len(raw) >= 4 && binary.BigEndian.Uint32(raw) == opHeartbeat {
+		hb := raw[4:]
+		l.hz.behind(func() { l.hb.Send(hb) })
+		return
+	}
+	l.hz.charge(l.c.cfg.PerMsgCost, func() { l.deliver(raw) })
+}
+
+// deliver routes one charged frame: collective-plane frames by tag,
+// credit frames to their gates, everything else to the base queue. It
+// never blocks on a consumer (all queues are unbounded), so one stalled
 // tagged stream cannot head-of-line-block another tag or the credits
-// that would un-stall it.
-func (c *Comm) routeConn(conn *simnet.Conn, rt *connRouter) {
-	for {
-		raw, err := c.recvRawDirect(conn)
-		if err != nil {
-			rt.fail(err)
+// that would un-stall it. A severed link drops what still arrives.
+func (l *link) deliver(raw []byte) {
+	l.mu.Lock()
+	closed := l.closed
+	l.mu.Unlock()
+	if closed {
+		return
+	}
+	l.c.countRx(raw)
+	if len(raw) >= 4 {
+		switch binary.BigEndian.Uint32(raw) {
+		case opCollChunk, opCollEnd:
+			f, err := parseFrameOp(raw, opCollChunk, opCollEnd)
+			if err != nil {
+				l.fail(err)
+				return
+			}
+			l.enqueue(f)
+			return
+		case opCredit:
+			f, err := parseCredit(raw)
+			if err != nil {
+				l.fail(err)
+				return
+			}
+			l.credit(f.H.Tag, f.Credits())
 			return
 		}
-		if len(raw) >= 4 {
-			switch binary.BigEndian.Uint32(raw) {
-			case opCollChunk, opCollEnd:
-				f, err := parseFrameOp(raw, opCollChunk, opCollEnd)
-				if err != nil {
-					rt.fail(err)
-					return
-				}
-				rt.enqueue(f)
-				continue
-			case opCredit:
-				f, err := parseCredit(raw)
-				if err != nil {
-					rt.fail(err)
-					return
-				}
-				rt.credit(f.H.Tag, f.Credits())
-				continue
-			}
-		}
-		rt.base.Send(raw)
 	}
+	l.base.Send(raw)
 }
 
 // enqueue routes one collective frame to its tag queue, maintaining the
@@ -120,30 +173,30 @@ func (c *Comm) routeConn(conn *simnet.Conn, rt *connRouter) {
 // the flow-control invariant is exact: depth ≤ window when the window
 // is on; O(stream) when off — also when a reused tag's queue still holds
 // the previous operation's End ahead of the next one's chunks. The Send
-// happens under rt.mu so that dropTag's emptiness check cannot
+// happens under l.mu so that dropTag's emptiness check cannot
 // interleave with it.
-func (rt *connRouter) enqueue(f coll.Frame) {
-	rt.mu.Lock()
-	q := rt.tagQLocked(f.H.Tag)
-	if rt.load == nil {
-		rt.load = make(map[uint32]queueLoad)
+func (l *link) enqueue(f coll.Frame) {
+	l.mu.Lock()
+	q := l.tagQLocked(f.H.Tag)
+	if l.load == nil {
+		l.load = make(map[uint32]queueLoad)
 	}
-	l := rt.load[f.H.Tag].add(f, 1)
-	rt.load[f.H.Tag] = l
+	ld := l.load[f.H.Tag].add(f, 1)
+	l.load[f.H.Tag] = ld
 	q.Send(f)
-	rt.mu.Unlock()
+	l.mu.Unlock()
 	if !f.End {
-		rt.c.collDepthMax.SetMax(uint64(l.chunks))
+		l.c.collDepthMax.SetMax(uint64(ld.chunks))
 	}
-	rt.c.collBytesMax.SetMax(uint64(l.bytes))
+	l.c.collBytesMax.SetMax(uint64(ld.bytes))
 }
 
-// dequeued tells the router one frame left its tag queue (consumed by
+// dequeued tells the link one frame left its tag queue (consumed by
 // recvTagged), keeping the queue-load accounting honest.
-func (rt *connRouter) dequeued(f coll.Frame) {
-	rt.mu.Lock()
-	rt.load[f.H.Tag] = rt.load[f.H.Tag].add(f, -1)
-	rt.mu.Unlock()
+func (l *link) dequeued(f coll.Frame) {
+	l.mu.Lock()
+	l.load[f.H.Tag] = l.load[f.H.Tag].add(f, -1)
+	l.mu.Unlock()
 }
 
 // queueLoad is what one tag queue holds: data chunks (End markers
@@ -151,34 +204,34 @@ func (rt *connRouter) dequeued(f coll.Frame) {
 type queueLoad struct{ chunks, bytes int }
 
 // add accounts one frame entering (n = 1) or leaving (n = -1) the queue.
-func (l queueLoad) add(f coll.Frame, n int) queueLoad {
+func (ld queueLoad) add(f coll.Frame, n int) queueLoad {
 	if !f.End {
-		l.chunks += n
+		ld.chunks += n
 	}
-	l.bytes += n * len(f.Body)
-	return l
+	ld.bytes += n * len(f.Body)
+	return ld
 }
 
 // tagQ returns (creating on demand) the queue of one tagged stream. On
-// a severed router the returned queue is closed, so receivers observe
-// the failure instead of parking forever.
-func (rt *connRouter) tagQ(tag uint32) *vtime.Chan[coll.Frame] {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.tagQLocked(tag)
+// a severed link the returned queue is closed, so receivers observe the
+// failure instead of parking forever.
+func (l *link) tagQ(tag uint32) *vtime.Chan[coll.Frame] {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.tagQLocked(tag)
 }
 
-func (rt *connRouter) tagQLocked(tag uint32) *vtime.Chan[coll.Frame] {
-	if rt.tags == nil {
-		rt.tags = make(map[uint32]*vtime.Chan[coll.Frame])
+func (l *link) tagQLocked(tag uint32) *vtime.Chan[coll.Frame] {
+	if l.tags == nil {
+		l.tags = make(map[uint32]*vtime.Chan[coll.Frame])
 	}
-	q := rt.tags[tag]
+	q := l.tags[tag]
 	if q == nil {
-		q = vtime.NewChan[coll.Frame](rt.c.p.Sim())
-		if rt.closed {
+		q = vtime.NewChan[coll.Frame](l.c.p.Sim())
+		if l.closed {
 			q.Close()
 		}
-		rt.tags[tag] = q
+		l.tags[tag] = q
 	}
 	return q
 }
@@ -187,13 +240,13 @@ func (rt *connRouter) tagQLocked(tag uint32) *vtime.Chan[coll.Frame] {
 // accumulate across collectives — but only an empty one: a fast peer may
 // already have queued the next operation's first chunk under the same
 // tag, and that chunk must stay in line for it.
-func (rt *connRouter) dropTag(tag uint32) {
-	rt.mu.Lock()
-	if q := rt.tags[tag]; q != nil && q.Len() == 0 {
-		delete(rt.tags, tag)
-		delete(rt.load, tag)
+func (l *link) dropTag(tag uint32) {
+	l.mu.Lock()
+	if q := l.tags[tag]; q != nil && q.Len() == 0 {
+		delete(l.tags, tag)
+		delete(l.load, tag)
 	}
-	rt.mu.Unlock()
+	l.mu.Unlock()
 }
 
 // gate returns (creating on demand, preloaded with window tokens) the
@@ -201,19 +254,19 @@ func (rt *connRouter) dropTag(tag uint32) {
 // previous stream ended with credits still in flight is reused by the
 // next operation on the same tag, so those late credits refill the one
 // window instead of widening a fresh one.
-func (rt *connRouter) gate(tag uint32, window int) *creditGate {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.gates == nil {
-		rt.gates = make(map[uint32]*creditGate)
+func (l *link) gate(tag uint32, window int) *creditGate {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.gates == nil {
+		l.gates = make(map[uint32]*creditGate)
 	}
-	g := rt.gates[tag]
+	g := l.gates[tag]
 	if g == nil {
-		g = newCreditGate(rt.c.p.Sim(), window)
-		if rt.closed {
+		g = newCreditGate(l.c.p.Sim(), window)
+		if l.closed {
 			g.sever()
 		}
-		rt.gates[tag] = g
+		l.gates[tag] = g
 	}
 	g.ended = false
 	return g
@@ -222,61 +275,61 @@ func (rt *connRouter) gate(tag uint32, window int) *creditGate {
 // endGate marks a stream's End frame as on the wire and retires its
 // credit gate once every credit is back; until then credits still in
 // flight land in it (see credit).
-func (rt *connRouter) endGate(tag uint32) {
-	rt.mu.Lock()
-	if g := rt.gates[tag]; g != nil {
+func (l *link) endGate(tag uint32) {
+	l.mu.Lock()
+	if g := l.gates[tag]; g != nil {
 		g.ended = true
 		if g.full() {
-			delete(rt.gates, tag)
+			delete(l.gates, tag)
 		}
 	}
-	rt.mu.Unlock()
+	l.mu.Unlock()
 }
 
 // credit applies n returned credits to the tag's gate, retiring a gate
 // whose stream has ended once its last credit is back.
-func (rt *connRouter) credit(tag uint32, n uint32) {
-	rt.mu.Lock()
-	if g := rt.gates[tag]; g != nil {
+func (l *link) credit(tag uint32, n uint32) {
+	l.mu.Lock()
+	if g := l.gates[tag]; g != nil {
 		g.credit(int(n))
 		if g.ended && g.full() {
-			delete(rt.gates, tag)
+			delete(l.gates, tag)
 		}
 	}
-	rt.mu.Unlock()
+	l.mu.Unlock()
 }
 
-// fail severs the router: the link died (or delivered garbage), so
-// every consumer — base receivers, tagged receivers, senders blocked on
-// credit — must wake and observe the failure.
-func (rt *connRouter) fail(err error) {
-	rt.mu.Lock()
-	if rt.closed {
-		rt.mu.Unlock()
+// fail severs the link: the connection died (or delivered garbage), so
+// every consumer — base and heartbeat receivers, tagged receivers,
+// senders blocked on credit — must wake and observe the failure.
+func (l *link) fail(err error) {
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
 		return
 	}
-	rt.closed = true
-	rt.err = err
+	l.closed = true
+	l.err = err
 	// Under mu: consumers retiring their tags write these maps.
-	for _, q := range rt.tags {
+	for _, q := range l.tags {
 		q.Close()
 	}
-	for _, g := range rt.gates {
+	for _, g := range l.gates {
 		g.sever()
 	}
-	rt.mu.Unlock()
-	rt.base.Close()
+	l.mu.Unlock()
+	l.base.Close()
+	l.hb.Close()
 }
 
-// takeErr reports why the router severed (ErrSevered-wrapped for a
-// clean link death).
-func (rt *connRouter) takeErr() error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.err == nil || rt.err == ErrSevered {
+// takeErr reports why the link severed (ErrSevered-wrapped).
+func (l *link) takeErr() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err == nil || l.err == ErrSevered {
 		return ErrSevered
 	}
-	return fmt.Errorf("%w: %v", ErrSevered, rt.err)
+	return fmt.Errorf("%w: %v", ErrSevered, l.err)
 }
 
 // creditGate is the send side of the per-(link, tag) outstanding-chunk
@@ -287,7 +340,7 @@ func (rt *connRouter) takeErr() error {
 type creditGate struct {
 	tokens *vtime.Chan[struct{}]
 	window int
-	ended  bool // the last stream's End is on the wire (guarded by connRouter.mu)
+	ended  bool // the last stream's End is on the wire (guarded by link.mu)
 }
 
 func newCreditGate(sim *vtime.Sim, window int) *creditGate {

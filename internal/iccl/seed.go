@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"time"
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/coll"
@@ -462,25 +461,18 @@ func newSeedPlumbing(p *cluster.Proc, cfg *Config, src SeedSource, rt *SeedRoute
 	onParent := func(conn *simnet.Conn) {
 		if len(kids) == 0 {
 			// Leaf: no pump either — an event-driven framer owns the
-			// parent link while the seed is in flight, reproducing the
-			// serial reader's charging on a busy-until horizon (frame i
-			// lands at max(arrival_i, done_{i-1}) + PerMsgCost) and
-			// detaching at the End frame's arrival so pre-ShareLinks
-			// collective traffic block-reads the same conn as before.
-			// Decoding and engine admission run behind the horizon, like
-			// the reader they replace.
-			var busyUntil time.Duration
+			// parent link while the seed is in flight, charging on the
+			// same busy-until horizon as the post-bootstrap link framer
+			// (router.go) and detaching at the End frame's arrival so the
+			// bootstrap-era collectives block-read the same conn as
+			// before. Decoding and engine admission run behind the
+			// horizon, like the reader they replace. A failure is
+			// recorded at once and aborts the stream behind the horizon.
+			hz := horizon{sim: sim}
 			lmonp.HandleFrames(conn, func(raw []byte, err error) {
-				now := sim.Now()
 				if err != nil {
-					// The serial reader would only observe the failure
-					// after charging every frame before it.
 					seed.fail(fmt.Errorf("iccl: seed stream at rank %d: %w", cfg.Rank, err))
-					if busyUntil <= now {
-						abort()
-					} else {
-						sim.After(busyUntil-now, abort)
-					}
+					hz.behind(abort)
 					return
 				}
 				// Peek the opcode at arrival: the End frame (or a
@@ -490,13 +482,7 @@ func newSeedPlumbing(p *cluster.Proc, cfg *Config, src SeedSource, rt *SeedRoute
 				if len(raw) < 4 || binary.BigEndian.Uint32(raw) != opSeedChunk {
 					conn.Unhandle()
 				}
-				readAt := now
-				if busyUntil > readAt {
-					readAt = busyUntil
-				}
-				deliverAt := readAt + cfg.PerMsgCost
-				busyUntil = deliverAt
-				sim.After(deliverAt-now, func() {
+				hz.charge(cfg.PerMsgCost, func() {
 					f, perr := parseFrameOp(raw, opSeedChunk, opSeedEnd)
 					if perr != nil {
 						seed.fail(fmt.Errorf("iccl: seed stream at rank %d: %w", cfg.Rank, perr))

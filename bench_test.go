@@ -3,7 +3,6 @@ package launchmon_test
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"launchmon/internal/bench"
 )
@@ -14,129 +13,70 @@ import (
 // whole sweep (the virtual-time results themselves are printed by
 // cmd/lmonbench and recorded in EXPERIMENTS.md).
 
+// runEntry runs the named bench.Experiments entry at full scale b.N
+// times, failing b on an error or a failed check — the same checks every
+// lmonbench run enforces — and returns the last run's row sets.
+func runEntry(b *testing.B, name string) []any {
+	e := bench.Lookup(name)
+	if e == nil {
+		b.Fatalf("no experiment %q", name)
+	}
+	var rows []any
+	for i := 0; i < b.N; i++ {
+		res, err := e.Run(bench.Mode{})
+		if err == nil && res.Check != nil {
+			err = res.Check()
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows = res.Rows
+	}
+	return rows
+}
+
 // BenchmarkFigure3_LaunchAndSpawnModelVsMeasured regenerates Figure 3:
 // the launchAndSpawn component breakdown and analytic-model comparison,
 // 16..128 daemons at 8 tasks/daemon.
-func BenchmarkFigure3_LaunchAndSpawnModelVsMeasured(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Figure3()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != len(bench.Figure3Scales) {
-			b.Fatalf("%d rows", len(rows))
-		}
-	}
-}
+func BenchmarkFigure3_LaunchAndSpawnModelVsMeasured(b *testing.B) { runEntry(b, "figure3") }
 
 // BenchmarkFigure5_Jobsnap regenerates Figure 5: Jobsnap total and
 // init→attachAndSpawn times, 64..1024 daemons (512..8192 tasks).
-func BenchmarkFigure5_Jobsnap(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Figure5()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != len(bench.Figure5Scales) {
-			b.Fatal("row count")
-		}
-	}
-}
+func BenchmarkFigure5_Jobsnap(b *testing.B) { runEntry(b, "figure5") }
 
 // BenchmarkFigure6_STATStartup regenerates Figure 6: STAT launch+connect,
 // MRNet-rsh vs LaunchMON, 4..512 daemons with the rsh failure at 512.
-func BenchmarkFigure6_STATStartup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Figure6()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !rows[len(rows)-1].MRNetFailed {
-			b.Fatal("rsh did not fail at 512")
-		}
-	}
-}
+func BenchmarkFigure6_STATStartup(b *testing.B) { runEntry(b, "figure6") }
 
 // BenchmarkTable1_OSSAPAIAccess regenerates Table 1: O|SS APAI access
 // times, DPCL vs LaunchMON, 2..32 nodes.
-func BenchmarkTable1_OSSAPAIAccess(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Table1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != len(bench.Table1Scales) {
-			b.Fatal("row count")
-		}
-	}
-}
+func BenchmarkTable1_OSSAPAIAccess(b *testing.B) { runEntry(b, "table1") }
 
 // BenchmarkAblation_BGL contrasts the SLURM-like and BG/L-like RM cost
 // profiles (§4's closing observation).
-func BenchmarkAblation_BGL(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.BGLAblation(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkAblation_BGL(b *testing.B) { runEntry(b, "ablation_bgl") }
 
 // BenchmarkAblation_ICCLFanout sweeps the ICCL tree fan-out at 128
 // daemons.
-func BenchmarkAblation_ICCLFanout(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.AblationFanout(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkAblation_ICCLFanout(b *testing.B) { runEntry(b, "ablation_fanout") }
 
 // BenchmarkAblation_Piggyback compares piggybacked vs separate tool-data
 // delivery.
-func BenchmarkAblation_Piggyback(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.AblationPiggyback(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkAblation_Piggyback(b *testing.B) { runEntry(b, "ablation_piggyback") }
 
 // BenchmarkAblation_ProctabDistribution compares RPDTAB broadcast vs the
 // shared-file mechanism.
-func BenchmarkAblation_ProctabDistribution(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.AblationProctab(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkAblation_ProctabDistribution(b *testing.B) { runEntry(b, "ablation_proctab") }
 
 // BenchmarkAblation_DebugEvents contrasts fixed vs scale-growing RM debug
 // events.
-func BenchmarkAblation_DebugEvents(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.AblationDebugEvents(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkAblation_DebugEvents(b *testing.B) { runEntry(b, "ablation_debug_events") }
 
 // BenchmarkAblation_ConcurrentSessions launches K ∈ {1,4,8} concurrent
 // sessions from one FE process over a single transport mux and reports
 // the aggregate session-setup throughput at each K.
 func BenchmarkAblation_ConcurrentSessions(b *testing.B) {
-	var rows []bench.ConcurrentRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.ConcurrentSessions(bench.ConcurrentSessionOpts{}, bench.ConcurrentScales)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != len(bench.ConcurrentScales) {
-			b.Fatalf("%d rows", len(rows))
-		}
-	}
-	for _, r := range rows {
+	for _, r := range runEntry(b, "ablation_concurrent")[0].([]bench.ConcurrentRow) {
 		b.ReportMetric(r.Throughput, fmt.Sprintf("sessions/vsec-K%d", r.Sessions))
 	}
 }
@@ -144,30 +84,16 @@ func BenchmarkAblation_ConcurrentSessions(b *testing.B) {
 // BenchmarkAblation_FailureDetection kills the deepest-ranked daemon's
 // node mid-session at K ∈ {64, 1024, 16384} and reports how long (in
 // virtual time) the loss takes to reach the front end as a DaemonExited
-// callback plus the time to full watchdog teardown, and sweeps heartbeat
+// callback plus the time to full watchdog teardown (the silent link-drop
+// path is measured too, as in lmonbench -failure), and sweeps heartbeat
 // wire overhead vs period on an idle 256-daemon session.
 func BenchmarkAblation_FailureDetection(b *testing.B) {
-	var rows []bench.FailureRow
-	var overhead []bench.OverheadRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.FailureDetection(bench.FailureOpts{}, bench.FailureScales)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != len(bench.FailureScales) {
-			b.Fatalf("%d rows", len(rows))
-		}
-		overhead, err = bench.HeartbeatOverhead(256, bench.OverheadPeriods, 30*time.Second)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
+	sets := runEntry(b, "failure_detection")
+	for _, r := range sets[0].([]bench.FailureRow) {
 		b.ReportMetric(r.DetectSever.Seconds()*1e3, fmt.Sprintf("detect-vms-K%d", r.Nodes))
 		b.ReportMetric(r.Teardown.Seconds()*1e3, fmt.Sprintf("teardown-vms-K%d", r.Nodes))
 	}
-	for _, r := range overhead {
+	for _, r := range sets[1].([]bench.OverheadRow) {
 		b.ReportMetric(r.MsgsPerSec, fmt.Sprintf("hb-msgs-per-vsec-p%s", r.Period))
 	}
 }
@@ -179,23 +105,7 @@ func BenchmarkAblation_FailureDetection(b *testing.B) {
 // tree gather must beat the flat-master gather at the largest scale, and
 // the sum reduction's FE-bound payload is K-independent outright.
 func BenchmarkAblation_Collective(b *testing.B) {
-	var rows []bench.CollectiveRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.CollectiveAblation(bench.CollectiveOpts{}, bench.CollectiveScales)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != len(bench.CollectiveScales) {
-			b.Fatalf("%d rows", len(rows))
-		}
-		last := rows[len(rows)-1]
-		if last.TreeGather >= last.FlatGather {
-			b.Fatalf("tree gather (%v) not faster than flat-master gather (%v) at K=%d",
-				last.TreeGather, last.FlatGather, last.Daemons)
-		}
-	}
-	for _, r := range rows {
+	for _, r := range runEntry(b, "collective")[0].([]bench.CollectiveRow) {
 		b.ReportMetric(r.FlatGather.Seconds()*1e3, fmt.Sprintf("flat-gather-vms-K%d", r.Daemons))
 		b.ReportMetric(r.TreeGather.Seconds()*1e3, fmt.Sprintf("tree-gather-vms-K%d", r.Daemons))
 		b.ReportMetric(r.ReduceSum.Seconds()*1e3, fmt.Sprintf("reduce-sum-vms-K%d", r.Daemons))
@@ -215,42 +125,7 @@ func BenchmarkAblation_Collective(b *testing.B) {
 // magnitude at K=16384. The three-config sweep runs ~13 min of wall
 // clock — pass -timeout beyond go test's 10 m default.
 func BenchmarkAblation_LaunchPipeline(b *testing.B) {
-	var rows []bench.LaunchPipeRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.LaunchPipeline(bench.LaunchPipeOpts{}, bench.LaunchScales)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 3*len(bench.LaunchScales) {
-			b.Fatalf("%d rows", len(rows))
-		}
-		byCfg := map[string]map[int]bench.LaunchPipeRow{}
-		for _, r := range rows {
-			if !r.TableOK {
-				b.Fatalf("mode %s/%s K=%d: RPDTAB slice union not byte-identical", r.Mode, r.Table, r.Daemons)
-			}
-			key := r.Mode + "/" + r.Table
-			if byCfg[key] == nil {
-				byCfg[key] = map[int]bench.LaunchPipeRow{}
-			}
-			byCfg[key][r.Daemons] = r
-		}
-		maxK := bench.LaunchScales[len(bench.LaunchScales)-1]
-		sf := byCfg["store-forward/full"][maxK]
-		for _, key := range []string{"cut-through/full", "cut-through/sliced"} {
-			if ct := byCfg[key][maxK]; ct.Ready >= sf.Ready {
-				b.Fatalf("%s (%v) not below store-and-forward (%v) at K=%d",
-					key, ct.Ready, sf.Ready, maxK)
-			}
-		}
-		full, sliced := byCfg["cut-through/full"][maxK], byCfg["cut-through/sliced"][maxK]
-		if sliced.MemLeaf*10 > full.MemLeaf {
-			b.Fatalf("sliced leaf footprint %d B not 10x below full %d B at K=%d",
-				sliced.MemLeaf, full.MemLeaf, maxK)
-		}
-	}
-	for _, r := range rows {
+	for _, r := range runEntry(b, "launchpipe")[0].([]bench.LaunchPipeRow) {
 		b.ReportMetric(r.Ready.Seconds()*1e3, fmt.Sprintf("%s-%s-ready-vms-K%d", r.Mode, r.Table, r.Daemons))
 		if r.Table == "sliced" {
 			b.ReportMetric(float64(r.MemMaster), fmt.Sprintf("sliced-master-peakB-K%d", r.Daemons))
@@ -268,35 +143,7 @@ func BenchmarkAblation_LaunchPipeline(b *testing.B) {
 // Cut-through must not be slower at any scale, and both modes must leave
 // every MW rank with a byte-identical RPDTAB.
 func BenchmarkAblation_MWPipeline(b *testing.B) {
-	var rows []bench.MWPipeRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.MWPipeline(bench.MWPipeOpts{}, bench.MWScales)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 2*len(bench.MWScales) {
-			b.Fatalf("%d rows", len(rows))
-		}
-		byMode := map[string]map[int]bench.MWPipeRow{}
-		for _, r := range rows {
-			if !r.TableOK {
-				b.Fatalf("mode %s K=%d: MW RPDTAB not byte-identical at every rank", r.Mode, r.Daemons)
-			}
-			if byMode[r.Mode] == nil {
-				byMode[r.Mode] = map[int]bench.MWPipeRow{}
-			}
-			byMode[r.Mode][r.Daemons] = r
-		}
-		for _, k := range bench.MWScales {
-			ct, sf := byMode["cut-through"][k], byMode["store-forward"][k]
-			if ct.Ready > sf.Ready {
-				b.Fatalf("cut-through (%v) above store-and-forward (%v) at K=%d",
-					ct.Ready, sf.Ready, k)
-			}
-		}
-	}
-	for _, r := range rows {
+	for _, r := range runEntry(b, "mwpipe")[0].([]bench.MWPipeRow) {
 		b.ReportMetric(r.Ready.Seconds()*1e3, fmt.Sprintf("%s-mw-ready-vms-K%d", r.Mode, r.Daemons))
 	}
 }
@@ -304,10 +151,4 @@ func BenchmarkAblation_MWPipeline(b *testing.B) {
 // BenchmarkAblation_JobsnapTree quantifies the paper's §5.1 future-work
 // suggestion: Jobsnap with a TBŌN-style k-ary collection tree vs the flat
 // gather it measured.
-func BenchmarkAblation_JobsnapTree(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.AblationJobsnapTree(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkAblation_JobsnapTree(b *testing.B) { runEntry(b, "ablation_jobsnap_tree") }

@@ -279,31 +279,43 @@ func AblationDebugEvents() ([]DebugEventsRow, error) {
 	return rows, nil
 }
 
-// PrintAblations renders all ablation results.
-func PrintAblations(w io.Writer, bglRows []BGLRow, fanRows []FanoutRow, pigRows []PiggybackRow, dbgRows []DebugEventsRow) {
+// PrintBGL renders the RM cost-profile ablation.
+func PrintBGL(w io.Writer, rows []BGLRow) {
 	fmt.Fprintln(w, "Ablation — RM cost profile (64 daemons, 8 tasks/daemon)")
 	fmt.Fprintln(w, "rm           T(job)    T(daemon) tracing   total")
-	for _, r := range bglRows {
+	for _, r := range rows {
 		fmt.Fprintf(w, "%-12s %8.3fs %8.3fs %8.3fs %8.3fs\n", r.RM,
 			r.Measured.Job.Seconds(), r.Measured.DaemonSpawn.Seconds(),
 			r.Measured.Tracing.Seconds(), r.Measured.Total.Seconds())
 	}
-	fmt.Fprintln(w, "\nAblation — ICCL fan-out (128 daemons)")
+}
+
+// PrintFanout renders the ICCL fan-out ablation.
+func PrintFanout(w io.Writer, rows []FanoutRow) {
+	fmt.Fprintln(w, "Ablation — ICCL fan-out (128 daemons)")
 	fmt.Fprintln(w, "fanout    setup     collective total")
-	for _, r := range fanRows {
+	for _, r := range rows {
 		name := fmt.Sprint(r.Fanout)
 		if r.Fanout == 0 {
 			name = "flat"
 		}
 		fmt.Fprintf(w, "%-9s %8.3fs %8.3fs %8.3fs\n", name, r.Setup.Seconds(), r.Collective.Seconds(), r.Total.Seconds())
 	}
-	fmt.Fprintln(w, "\nAblation — tool data piggybacking (128 daemons, 4 KiB payload)")
-	for _, r := range pigRows {
+}
+
+// PrintPiggyback renders the tool-data piggybacking ablation.
+func PrintPiggyback(w io.Writer, rows []PiggybackRow) {
+	fmt.Fprintln(w, "Ablation — tool data piggybacking (128 daemons, 4 KiB payload)")
+	for _, r := range rows {
 		fmt.Fprintf(w, "%-12s %8.3fs\n", r.Mode, r.Total.Seconds())
 	}
-	fmt.Fprintln(w, "\nAblation — RM debug-event scaling (engine tracing cost)")
+}
+
+// PrintDebugEvents renders the RM debug-event scaling ablation.
+func PrintDebugEvents(w io.Writer, rows []DebugEventsRow) {
+	fmt.Fprintln(w, "Ablation — RM debug-event scaling (engine tracing cost)")
 	fmt.Fprintln(w, "mode     daemons  tracing")
-	for _, r := range dbgRows {
+	for _, r := range rows {
 		fmt.Fprintf(w, "%-8s %7d %8.3fs\n", r.Mode, r.Daemons, r.Tracing.Seconds())
 	}
 }

@@ -351,7 +351,10 @@ func TestPrinters(t *testing.T) {
 	PrintFigure5(&buf, []Fig5Row{{Daemons: 1, Tasks: 8}})
 	PrintFigure6(&buf, []Fig6Row{{Daemons: 1, Tasks: 8, MRNetFailed: true}})
 	PrintTable1(&buf, []T1Row{{Nodes: 2}})
-	PrintAblations(&buf, []BGLRow{{RM: "x"}}, []FanoutRow{{}}, []PiggybackRow{{Mode: "m"}}, []DebugEventsRow{{Mode: "f"}})
+	PrintBGL(&buf, []BGLRow{{RM: "x"}})
+	PrintFanout(&buf, []FanoutRow{{}})
+	PrintPiggyback(&buf, []PiggybackRow{{Mode: "m"}})
+	PrintDebugEvents(&buf, []DebugEventsRow{{Mode: "f"}})
 	PrintProctabAblation(&buf, []ProctabRow{{Mode: "m"}})
 	PrintFailure(&buf, []FailureRow{{Nodes: 8, Period: time.Second, Miss: 3}})
 	PrintOverhead(&buf, []OverheadRow{{Nodes: 8, Period: time.Second, Window: time.Second}})

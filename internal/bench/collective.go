@@ -96,15 +96,40 @@ func payloadFor(rank, bytes int) []byte {
 	return b
 }
 
-// measureFlatGather is the legacy shape: flat (1-deep) ICCL tree, every
-// contribution crosses one hop to the master, which relays the
-// concatenation as one monolithic UsrData message.
-func measureFlatGather(k, payloadB int) (time.Duration, int64, error) {
+// measurePhase launches opts' daemon exe, running be, on K one-task
+// nodes and times phase — from its go-signal to its verified result at
+// the FE — with the network bytes it moved.
+func measurePhase(k int, opts core.Options, be func(*cluster.Proc), phase func(*cluster.Proc, *core.Session) error) (time.Duration, int64, error) {
 	r, err := NewRig(RigOptions{Nodes: k})
 	if err != nil {
 		return 0, 0, err
 	}
-	r.Cl.Register("cflat_be", func(p *cluster.Proc) {
+	r.Cl.Register(opts.Daemon.Exe, be)
+	var elapsed time.Duration
+	var bytes int64
+	err = r.RunFE(func(p *cluster.Proc) error {
+		opts.Job = rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: 1}
+		sess, err := core.LaunchAndSpawn(p, opts)
+		if err != nil {
+			return err
+		}
+		start := p.Sim().Now()
+		before := r.Cl.Net().Stats()
+		if err := phase(p, sess); err != nil {
+			return err
+		}
+		elapsed = p.Sim().Now() - start
+		bytes = r.Cl.Net().Stats().Bytes - before.Bytes
+		return nil
+	})
+	return elapsed, bytes, err
+}
+
+// measureFlatGather is the legacy shape: flat (1-deep) ICCL tree, every
+// contribution crosses one hop to the master, which relays the
+// concatenation as one monolithic UsrData message.
+func measureFlatGather(k, payloadB int) (time.Duration, int64, error) {
+	return measurePhase(k, core.Options{Daemon: rm.DaemonSpec{Exe: "cflat_be"}}, func(p *cluster.Proc) {
 		be, err := core.BEInit(p)
 		if err != nil {
 			return
@@ -130,19 +155,7 @@ func measureFlatGather(k, payloadB int) (time.Duration, int64, error) {
 			be.SendToFE(blob)
 		}
 		be.Finalize()
-	})
-	var elapsed time.Duration
-	var bytes int64
-	err = r.RunFE(func(p *cluster.Proc) error {
-		sess, err := core.LaunchAndSpawn(p, core.Options{
-			Job:    rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: 1},
-			Daemon: rm.DaemonSpec{Exe: "cflat_be"},
-		})
-		if err != nil {
-			return err
-		}
-		start := p.Sim().Now()
-		before := r.Cl.Net().Stats()
+	}, func(_ *cluster.Proc, sess *core.Session) error {
 		if err := sess.SendToBE([]byte("go")); err != nil {
 			return err
 		}
@@ -150,26 +163,18 @@ func measureFlatGather(k, payloadB int) (time.Duration, int64, error) {
 		if err != nil {
 			return err
 		}
-		elapsed = p.Sim().Now() - start
-		bytes = r.Cl.Net().Stats().Bytes - before.Bytes
-		rd := lmonp.NewReader(blob)
-		n, err := rd.Uint32()
+		n, err := lmonp.NewReader(blob).Uint32()
 		if err != nil || int(n) != k {
 			return fmt.Errorf("flat gather merged %d of %d contributions (%v)", n, k, err)
 		}
 		return nil
 	})
-	return elapsed, bytes, err
 }
 
 // measureTreeGather is the collective plane: k-ary tree, interior daemons
 // forward bounded chunks, the FE assembles rank-indexed contributions.
 func measureTreeGather(k, fanout, payloadB int) (time.Duration, int64, error) {
-	r, err := NewRig(RigOptions{Nodes: k})
-	if err != nil {
-		return 0, 0, err
-	}
-	r.Cl.Register("ctree_be", func(p *cluster.Proc) {
+	return measurePhase(k, core.Options{Daemon: rm.DaemonSpec{Exe: "ctree_be"}, ICCLFanout: fanout}, func(p *cluster.Proc) {
 		be, err := core.BEInit(p)
 		if err != nil {
 			return
@@ -181,20 +186,7 @@ func measureTreeGather(k, fanout, payloadB int) (time.Duration, int64, error) {
 			return
 		}
 		be.Finalize()
-	})
-	var elapsed time.Duration
-	var bytes int64
-	err = r.RunFE(func(p *cluster.Proc) error {
-		sess, err := core.LaunchAndSpawn(p, core.Options{
-			Job:        rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: 1},
-			Daemon:     rm.DaemonSpec{Exe: "ctree_be"},
-			ICCLFanout: fanout,
-		})
-		if err != nil {
-			return err
-		}
-		start := p.Sim().Now()
-		before := r.Cl.Net().Stats()
+	}, func(_ *cluster.Proc, sess *core.Session) error {
 		if err := sess.Broadcast([]byte("go")); err != nil {
 			return err
 		}
@@ -202,24 +194,17 @@ func measureTreeGather(k, fanout, payloadB int) (time.Duration, int64, error) {
 		if err != nil {
 			return err
 		}
-		elapsed = p.Sim().Now() - start
-		bytes = r.Cl.Net().Stats().Bytes - before.Bytes
 		if len(all) != k {
 			return fmt.Errorf("tree gather returned %d of %d contributions", len(all), k)
 		}
 		return nil
 	})
-	return elapsed, bytes, err
 }
 
 // measureReduceSum is the combining plane: every daemon contributes one
 // uint64, interior daemons sum, the FE receives 8 bytes no matter K.
 func measureReduceSum(k, fanout int) (time.Duration, int64, error) {
-	r, err := NewRig(RigOptions{Nodes: k})
-	if err != nil {
-		return 0, 0, err
-	}
-	r.Cl.Register("cred_be", func(p *cluster.Proc) {
+	return measurePhase(k, core.Options{Daemon: rm.DaemonSpec{Exe: "cred_be"}, ICCLFanout: fanout}, func(p *cluster.Proc) {
 		be, err := core.BEInit(p)
 		if err != nil {
 			return
@@ -231,20 +216,7 @@ func measureReduceSum(k, fanout int) (time.Duration, int64, error) {
 			return
 		}
 		be.Finalize()
-	})
-	var elapsed time.Duration
-	var bytes int64
-	err = r.RunFE(func(p *cluster.Proc) error {
-		sess, err := core.LaunchAndSpawn(p, core.Options{
-			Job:        rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: 1},
-			Daemon:     rm.DaemonSpec{Exe: "cred_be"},
-			ICCLFanout: fanout,
-		})
-		if err != nil {
-			return err
-		}
-		start := p.Sim().Now()
-		before := r.Cl.Net().Stats()
+	}, func(_ *cluster.Proc, sess *core.Session) error {
 		if err := sess.Broadcast([]byte("go")); err != nil {
 			return err
 		}
@@ -252,22 +224,12 @@ func measureReduceSum(k, fanout int) (time.Duration, int64, error) {
 		if err != nil {
 			return err
 		}
-		elapsed = p.Sim().Now() - start
-		bytes = r.Cl.Net().Stats().Bytes - before.Bytes
 		v, err := lmonp.NewReader(sum).Uint64()
 		if err != nil || v != uint64(k) {
 			return fmt.Errorf("reduce summed %d of %d daemons (%v)", v, k, err)
 		}
 		return nil
 	})
-	return elapsed, bytes, err
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // PrintCollective renders the rows.

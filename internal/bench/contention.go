@@ -112,15 +112,12 @@ var contentionQuery = []byte("query: report status")
 // query-broadcast / response-gather round trip, serialized over the
 // lockstep plane or concurrently over tagged streams.
 func measureContention(k int, o ContentionOpts, tagged bool) (time.Duration, int64, error) {
-	r, err := NewRig(RigOptions{Nodes: k})
-	if err != nil {
-		return 0, 0, err
-	}
 	exe := "cont_serial_be"
 	if tagged {
 		exe = "cont_tagged_be"
 	}
-	r.Cl.Register(exe, func(p *cluster.Proc) {
+	opts := core.Options{Daemon: rm.DaemonSpec{Exe: exe}, ICCLFanout: o.Fanout, CollWindow: o.Window}
+	return measurePhase(k, opts, func(p *cluster.Proc) {
 		be, err := core.BEInit(p)
 		if err != nil {
 			return
@@ -155,19 +152,7 @@ func measureContention(k int, o ContentionOpts, tagged bool) (time.Duration, int
 			}
 		}
 		be.Finalize()
-	})
-	var elapsed time.Duration
-	var bytes int64
-	err = r.RunFE(func(p *cluster.Proc) error {
-		sess, err := core.LaunchAndSpawn(p, core.Options{
-			Job:        rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: 1},
-			Daemon:     rm.DaemonSpec{Exe: exe},
-			ICCLFanout: o.Fanout,
-			CollWindow: o.Window,
-		})
-		if err != nil {
-			return err
-		}
+	}, func(p *cluster.Proc, sess *core.Session) error {
 		// One tool's round trip: the gathered responses must hold every
 		// daemon's contribution.
 		check := func(all [][]byte, gerr error) error {
@@ -179,8 +164,6 @@ func measureContention(k int, o ContentionOpts, tagged bool) (time.Duration, int
 			}
 			return nil
 		}
-		start := p.Sim().Now()
-		before := r.Cl.Net().Stats()
 		if !tagged {
 			for i := 0; i < o.Tools; i++ {
 				if err := sess.Broadcast(contentionQuery); err != nil {
@@ -215,11 +198,8 @@ func measureContention(k int, o ContentionOpts, tagged bool) (time.Duration, int
 				}
 			}
 		}
-		elapsed = p.Sim().Now() - start
-		bytes = r.Cl.Net().Stats().Bytes - before.Bytes
 		return nil
 	})
-	return elapsed, bytes, err
 }
 
 // PrintContention renders the rows.

@@ -80,6 +80,9 @@ type LaunchPipeOpts struct {
 	// time with Options.Obs = ObsOn, populating the Obs*/Seed*/Reduce*
 	// columns (checked by CheckObsInvariants).
 	Obs bool
+	// lean is the million sweep's shape (LaunchMillion): a lean rig, no
+	// verification gather, and the simulator host-cost columns.
+	lean bool
 }
 
 func (o LaunchPipeOpts) withDefaults() LaunchPipeOpts {
@@ -111,10 +114,14 @@ var launchPipeConfigs = []launchPipeConfig{
 // LaunchPipeline measures every pipeline/retention combination at each
 // scale.
 func LaunchPipeline(opts LaunchPipeOpts, scales []int) ([]LaunchPipeRow, error) {
-	o := opts.withDefaults()
-	rows := make([]LaunchPipeRow, 0, len(launchPipeConfigs)*len(scales))
+	return launchSweep(opts.withDefaults(), launchPipeConfigs, scales)
+}
+
+// launchSweep measures each configuration at each scale.
+func launchSweep(o LaunchPipeOpts, configs []launchPipeConfig, scales []int) ([]LaunchPipeRow, error) {
+	rows := make([]LaunchPipeRow, 0, len(configs)*len(scales))
 	for _, k := range scales {
-		for _, cfg := range launchPipeConfigs {
+		for _, cfg := range configs {
 			row, err := measureLaunchPipe(k, cfg, o)
 			if err != nil {
 				return nil, fmt.Errorf("launch pipeline %v/%v at K=%d: %w", cfg.seed, cfg.table, k, err)
@@ -185,23 +192,40 @@ func checkLaunchTables(contribs [][]byte, feTab proctab.Table, table core.TableM
 	return bytes.Equal(union.Encode(), want.Encode())
 }
 
-// roleMem splits the gathered per-daemon table footprints by tree role.
-func roleMem(row *LaunchPipeRow, infos []core.DaemonInfo, fanout int) {
+// fillTableMem records a launched session's peak RPDTAB bytes per
+// pipeline role: the engine's largest chunk, the FE copy, the shared
+// index (rank-sliced cut-through only) and the daemons' footprints split
+// by tree role.
+func fillTableMem(row *LaunchPipeRow, sess *core.Session, fanout int) error {
+	for _, chunk := range sess.Proctab().EncodeChunks(0) {
+		row.MemEngine = max(row.MemEngine, len(chunk))
+	}
+	row.MemFE = sess.Proctab().MemBytes()
+	if row.Mode == core.SeedCutThrough.String() && row.Table == core.TableSliced.String() {
+		sorted := append(proctab.Table(nil), sess.Proctab()...)
+		sorted.SortByRank()
+		idx, err := proctab.BuildIndex(sorted)
+		if err != nil {
+			return err
+		}
+		row.MemIndex = idx.MemBytes()
+	}
+	infos := sess.Daemons()
 	size := len(infos)
-	eff := fanout
-	if eff <= 0 {
-		eff = size // flat: rank 0 parents everyone
+	if fanout <= 0 {
+		fanout = size // flat: rank 0 parents everyone
 	}
 	for _, d := range infos {
 		switch {
 		case d.Rank == 0:
 			row.MemMaster = max(row.MemMaster, d.PeakBytes)
-		case len(iccl.Children(d.Rank, size, eff)) > 0:
+		case len(iccl.Children(d.Rank, size, fanout)) > 0:
 			row.MemInterior = max(row.MemInterior, d.PeakBytes)
 		default:
 			row.MemLeaf = max(row.MemLeaf, d.PeakBytes)
 		}
 	}
+	return nil
 }
 
 func measureLaunchPipe(k int, cfg launchPipeConfig, o LaunchPipeOpts) (LaunchPipeRow, error) {
@@ -211,20 +235,26 @@ func measureLaunchPipe(k int, cfg launchPipeConfig, o LaunchPipeOpts) (LaunchPip
 		Daemons: k,
 		Tasks:   k * o.TasksPerNode,
 	}
-	r, err := NewRig(RigOptions{Nodes: k})
+	r, err := NewRig(RigOptions{Nodes: k, Lean: o.lean})
 	if err != nil {
 		return row, err
 	}
 	// Every daemon gathers its rank slice (plus, under full retention, a
 	// full-copy fingerprint) to the FE over the collective plane — after
 	// the launch, so verification does not perturb the time-to-ready
-	// measurement.
-	r.Cl.Register("lp_be", launchPipeBE)
+	// measurement. The lean sweep's daemons only join.
+	exe := "lp_be"
+	if o.lean {
+		exe = "million_be"
+		registerNoopBE(r.Cl, exe)
+	} else {
+		r.Cl.Register(exe, launchPipeBE)
+	}
 	err = r.RunFE(func(p *cluster.Proc) error {
 		t0 := p.Sim().Now()
 		sess, err := core.LaunchAndSpawn(p, core.Options{
 			Job:        rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: o.TasksPerNode},
-			Daemon:     rm.DaemonSpec{Exe: "lp_be"},
+			Daemon:     rm.DaemonSpec{Exe: exe},
 			ICCLFanout: o.Fanout,
 			SeedMode:   cfg.seed,
 			TableMode:  cfg.table,
@@ -233,27 +263,25 @@ func measureLaunchPipe(k int, cfg launchPipeConfig, o LaunchPipeOpts) (LaunchPip
 			return err
 		}
 		row.Ready = p.Sim().Now() - t0
-		contribs, err := sess.Gather()
-		if err != nil {
-			return err
-		}
-		row.TableOK = len(contribs) == k && checkLaunchTables(contribs, sess.Proctab(), cfg.table)
-		for _, chunk := range sess.Proctab().EncodeChunks(0) {
-			row.MemEngine = max(row.MemEngine, len(chunk))
-		}
-		row.MemFE = sess.Proctab().MemBytes()
-		if cfg.seed == core.SeedCutThrough && cfg.table == core.TableSliced {
-			sorted := append(proctab.Table(nil), sess.Proctab()...)
-			sorted.SortByRank()
-			idx, err := proctab.BuildIndex(sorted)
+		if o.lean {
+			row.TableOK = true // verified against full retention in LaunchPipeline at K≤16384
+		} else {
+			contribs, err := sess.Gather()
 			if err != nil {
 				return err
 			}
-			row.MemIndex = idx.MemBytes()
+			row.TableOK = len(contribs) == k && checkLaunchTables(contribs, sess.Proctab(), cfg.table)
 		}
-		roleMem(&row, sess.Daemons(), o.Fanout)
-		return nil
+		return fillTableMem(&row, sess, o.Fanout)
 	})
+	if o.lean {
+		// Host-cost columns: the million sweep's acceptance bound is ≤1.25
+		// parked goroutines per simulated node (DESIGN.md "Simulator cost
+		// model").
+		row.GoroutinesPeak = r.Sim.PeakLive()
+		row.GoroutinesPerNode = float64(row.GoroutinesPeak) / float64(k)
+		row.RSSPeakB = hostRSSPeak()
+	}
 	if err == nil && o.Obs {
 		err = measureLaunchPipeObs(&row, k, cfg, o)
 	}

@@ -7,10 +7,7 @@ import (
 	"os"
 	"strconv"
 
-	"launchmon/internal/cluster"
 	"launchmon/internal/core"
-	"launchmon/internal/proctab"
-	"launchmon/internal/rm"
 )
 
 // The million-daemon launch sweep — the ROADMAP's headline scale target.
@@ -33,77 +30,14 @@ type MillionOpts struct {
 	Fanout       int // ICCL tree fanout (default 64)
 }
 
-func (o MillionOpts) withDefaults() MillionOpts {
-	if o.TasksPerNode == 0 {
-		o.TasksPerNode = 1
-	}
-	if o.Fanout == 0 {
-		o.Fanout = 64
-	}
-	return o
-}
-
 // LaunchMillion measures the rank-sliced cut-through launch at each
 // scale, reporting the same row shape as LaunchPipeline.
 func LaunchMillion(opts MillionOpts, scales []int) ([]LaunchPipeRow, error) {
-	o := opts.withDefaults()
-	rows := make([]LaunchPipeRow, 0, len(scales))
-	for _, k := range scales {
-		row, err := measureLaunchMillion(k, o)
-		if err != nil {
-			return nil, fmt.Errorf("million launch sweep at K=%d: %w", k, err)
-		}
-		rows = append(rows, row)
+	o := LaunchPipeOpts{TasksPerNode: opts.TasksPerNode, Fanout: opts.Fanout, lean: true}
+	if o.Fanout == 0 {
+		o.Fanout = 64
 	}
-	return rows, nil
-}
-
-func measureLaunchMillion(k int, o MillionOpts) (LaunchPipeRow, error) {
-	row := LaunchPipeRow{
-		Mode:    core.SeedCutThrough.String(),
-		Table:   core.TableSliced.String(),
-		Daemons: k,
-		Tasks:   k * o.TasksPerNode,
-	}
-	r, err := NewRig(RigOptions{Nodes: k, Lean: true})
-	if err != nil {
-		return row, err
-	}
-	registerNoopBE(r.Cl, "million_be")
-	err = r.RunFE(func(p *cluster.Proc) error {
-		t0 := p.Sim().Now()
-		sess, err := core.LaunchAndSpawn(p, core.Options{
-			Job:        rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: o.TasksPerNode},
-			Daemon:     rm.DaemonSpec{Exe: "million_be"},
-			ICCLFanout: o.Fanout,
-			SeedMode:   core.SeedCutThrough,
-			TableMode:  core.TableSliced,
-		})
-		if err != nil {
-			return err
-		}
-		row.Ready = p.Sim().Now() - t0
-		row.TableOK = true // verified against full retention in LaunchPipeline at K≤16384
-		for _, chunk := range sess.Proctab().EncodeChunks(0) {
-			row.MemEngine = max(row.MemEngine, len(chunk))
-		}
-		row.MemFE = sess.Proctab().MemBytes()
-		sorted := append(proctab.Table(nil), sess.Proctab()...)
-		sorted.SortByRank()
-		idx, err := proctab.BuildIndex(sorted)
-		if err != nil {
-			return err
-		}
-		row.MemIndex = idx.MemBytes()
-		roleMem(&row, sess.Daemons(), o.Fanout)
-		return nil
-	})
-	// Host-cost columns: the sweep's acceptance bound is ≤1.25 parked
-	// goroutines per simulated node (DESIGN.md "Simulator cost model").
-	row.GoroutinesPeak = r.Sim.PeakLive()
-	row.GoroutinesPerNode = float64(row.GoroutinesPeak) / float64(k)
-	row.RSSPeakB = hostRSSPeak()
-	return row, err
+	return launchSweep(o.withDefaults(), []launchPipeConfig{{core.SeedCutThrough, core.TableSliced}}, scales)
 }
 
 // hostRSSPeak reads this process's peak resident set (VmHWM) in bytes.

@@ -7,11 +7,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 
 	"launchmon/internal/cluster"
 	"launchmon/internal/core"
 	"launchmon/internal/engine"
-	"launchmon/internal/obs"
 	"launchmon/internal/rm"
 )
 
@@ -151,18 +151,15 @@ type TraceResult struct {
 	Spans      int
 	Instants   int
 	TraceBytes int
-	Metrics    obs.Snapshot
 }
 
-// TraceLaunch runs one obs-on launch at K daemons on a lean rig, writes
-// the session's Chrome/Perfetto trace-event JSON to w, and verifies —
-// before writing — that the exported spans reproduce the monotone launch
-// mark chains (engine chain e0…e6,e11 and handshake chain e5,e7…e11).
-func TraceLaunch(k, fanout int, w io.Writer) (TraceResult, error) {
+// TraceLaunch runs one obs-on launch at K daemons on a lean rig, verifies
+// that the session's Chrome/Perfetto trace-event JSON reproduces the
+// monotone launch mark chains (engine chain e0…e6,e11 and handshake chain
+// e5,e7…e11), and writes the trace to path and the harvested metrics
+// snapshot to path.metrics.json.
+func TraceLaunch(k int, path string) (TraceResult, error) {
 	res := TraceResult{Daemons: k}
-	if fanout <= 0 {
-		fanout = 32
-	}
 	r, err := NewRig(RigOptions{Nodes: k, Lean: true})
 	if err != nil {
 		return res, err
@@ -172,7 +169,7 @@ func TraceLaunch(k, fanout int, w io.Writer) (TraceResult, error) {
 		sess, err := core.LaunchAndSpawn(p, core.Options{
 			Job:        rm.JobSpec{Exe: "app", Nodes: k, TasksPerNode: 1},
 			Daemon:     rm.DaemonSpec{Exe: "trace_be"},
-			ICCLFanout: fanout,
+			ICCLFanout: 32,
 			Obs:        core.ObsOn,
 		})
 		if err != nil {
@@ -182,17 +179,22 @@ func TraceLaunch(k, fanout int, w io.Writer) (TraceResult, error) {
 		if err := sess.WriteTrace(&buf); err != nil {
 			return err
 		}
-		spans, instants, err := verifyTrace(buf.Bytes())
-		if err != nil {
+		if res.Spans, res.Instants, err = verifyTrace(buf.Bytes()); err != nil {
 			return err
 		}
+		res.TraceBytes = buf.Len()
 		snap, err := sess.MetricsSnapshot()
 		if err != nil {
 			return err
 		}
-		res.Spans, res.Instants, res.TraceBytes, res.Metrics = spans, instants, buf.Len(), snap
-		_, err = w.Write(buf.Bytes())
-		return err
+		metrics, err := json.MarshalIndent(snap, "", "  ")
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			return err
+		}
+		return os.WriteFile(path+".metrics.json", append(metrics, '\n'), 0o644)
 	})
 	return res, err
 }
